@@ -8,7 +8,8 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     1  negative outcome (bracket nonzero, integrals obstructed,
        not an equilibrium, system incompatible)
     2  usage error (malformed rationals, unsupported lambda, bad files)
-    3  root-finder failure
+    3  root-finder failure, or float roots that coincide (equilibrium) on
+       a pair the exact layer accepted as squarefree and coprime
     4  collision detected during simulation
     5  integrator step-size underflow
 
@@ -38,8 +39,8 @@ from .generators import (
 from .numerics import (
     DEFAULT_FORCE_TOL,
     ChargeSystem,
+    CollisionError,
     ConvergenceFailure,
-    roots,
     verify_equilibrium,
 )
 from .polyrat import ExactPoly, NotCoprime, NotSquarefree
@@ -161,23 +162,11 @@ def cmd_equilibrium(args, extras) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
     report = verify_equilibrium(p, q, _parse_fraction(args.lam), _parse_fraction(args.k), tol)
     if args.format == "csv-positions":
-        lam = float(_parse_fraction(args.lam))
-        deg_p = int(p.degree) if p.degree >= 1 else 0
-        charges = [1.0] * deg_p + [-lam] * (len(report.per_charge_forces) - deg_p)
-        # positions are recoverable from the report's force evaluation order
-        for z, qv in zip(_positions_of(p, q), charges):
+        for z, qv in zip(report.system.positions, report.system.charges):
             sys.stdout.write(f"{z.real!r},{z.imag!r},{qv!r}\n")
     else:
         _emit(report.to_json())
     return 0 if report.equilibrium else 1
-
-
-def _positions_of(p: ExactPoly, q: ExactPoly) -> list[complex]:
-    pos = []
-    for poly in (p, q):
-        if poly.degree >= 1:
-            pos.extend(roots(poly))
-    return pos
 
 
 def cmd_solve_field(args, extras) -> int:
@@ -198,16 +187,7 @@ def _initial_system(args) -> ChargeSystem:
             raise UsageError(f"cannot read initial condition from {args.init}: {exc}")
     if not (args.p and args.q):
         raise UsageError("simulate needs either --init or both --p and --q")
-    p, q = _load_poly(args.p), _load_poly(args.q)
-    lam = float(_parse_fraction(args.lam))
-    positions, charges = [], []
-    if p.degree >= 1:
-        positions += roots(p)
-        charges += [1.0] * int(p.degree)
-    if q.degree >= 1:
-        positions += roots(q)
-        charges += [-lam] * int(q.degree)
-    return ChargeSystem(positions, charges)
+    return ChargeSystem.from_pair(_load_poly(args.p), _load_poly(args.q), _parse_fraction(args.lam))
 
 
 def cmd_simulate(args, extras) -> int:
@@ -318,15 +298,15 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         return args.func(args, extras)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedLambda, NotSquarefree, NotCoprime, FieldRequired, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, CollisionError) as exc:
+        # CollisionError is a ValueError, but it comes from the float roots
+        # of a pair that passed the exact checks, not from the input.
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, UnsupportedLambda, NotSquarefree, NotCoprime, FieldRequired,
+            ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

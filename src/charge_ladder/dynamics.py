@@ -25,8 +25,16 @@ from fractions import Fraction
 import numpy as np
 
 from .generators import BracketParams, bracket
-from .numerics import COLLISION_FACTOR, ChargeSystem, CollisionError, roots, to_floats
-from .polyrat import ExactPoly, NotCoprime, NotSquarefree, gcd_poly, is_squarefree
+from .numerics import (
+    COLLISION_FACTOR,
+    ChargeSystem,
+    _off_diag,
+    _separated,
+    _velocities,
+    closest_pair,
+    to_floats,
+)
+from .polyrat import ExactPoly
 
 __all__ = [
     "CollisionDetected",
@@ -59,49 +67,11 @@ class StepSizeUnderflow(RuntimeError):
     """The adaptive controller drove the step below the resolvable minimum."""
 
 
-def _off_diag(zs: np.ndarray) -> np.ndarray:
-    """Pairwise differences with the (singular) diagonal replaced by 1."""
-    diff = zs[:, None] - zs[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return diff
-
-
-def _velocities(zs: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    n = len(zs)
-    if n < 2:
-        return np.zeros(n, dtype=complex)
-    terms = qs[None, :] / _off_diag(zs)
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
 def vortex_rhs(system: ChargeSystem) -> list[complex]:
     """Velocity of every root under the flow; zero exactly at equilibria of
     the field-free energy (the force of `numerics` divided by Q_i at k=0)."""
-    zs = np.asarray(system.positions, dtype=complex)
-    qs = np.asarray(system.charges, dtype=float)
-    _check_separation(zs, system.diameter(), 0.0, None)
+    zs, qs = _separated(system)
     return [complex(v) for v in _velocities(zs, qs)]
-
-
-def _check_separation(zs: np.ndarray, diam: float, t: float, trajectory) -> None:
-    n = len(zs)
-    if n < 2:
-        return
-    diff = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() <= COLLISION_FACTOR * diam:
-        i, j = np.unravel_index(int(diff.argmin()), diff.shape)
-        if trajectory is None:
-            raise CollisionError(f"charges {i} and {j} within {diff.min():.3e}")
-        raise CollisionDetected(t, (int(i), int(j)), trajectory)
-
-
-def _closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int]]:
-    diff = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(diff, np.inf)
-    i, j = np.unravel_index(int(diff.argmin()), diff.shape)
-    return float(diff.min()), (int(i), int(j))
 
 
 @dataclass
@@ -179,7 +149,12 @@ def integrate(
         traj.samples.append(
             TrajectorySample(t, snap, [complex(x) for x in v], _invariant(y, qs)))
 
-    _check_separation(zs, diam, 0.0, traj)
+    def check_separation(t: float, y: np.ndarray) -> None:
+        dist, pair = closest_pair(y)
+        if dist <= COLLISION_FACTOR * diam:
+            raise CollisionDetected(t, pair, traj)
+
+    check_separation(0.0, zs)
     t = 0.0
     v = rhs(zs)
     record(t, zs, v / _rhs_scale if _rhs_scale != 1.0 else v)
@@ -192,7 +167,7 @@ def integrate(
     while t < t_end:
         h = min(h, t_end - t)
         if h < h_min:
-            dist, pair = _closest_pair(zs)
+            dist, pair = closest_pair(zs)
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
@@ -211,7 +186,7 @@ def integrate(
             record(t, zs, k1 / _rhs_scale if _rhs_scale != 1.0 else k1)
             traj.steps_accepted += 1
             traj.max_error_estimate = max(traj.max_error_estimate, err)
-            _check_separation(zs, diam, t, traj)
+            check_separation(t, zs)
             fac = safety * max(err, 1e-10) ** -alpha * err_prev ** beta
             h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
@@ -224,9 +199,6 @@ def integrate(
 def _invariant(zs: np.ndarray, qs: np.ndarray) -> complex:
     v = _velocities(zs, qs)
     kinetic = (qs * v * v).sum()
-    n = len(zs)
-    if n < 2:
-        return complex(kinetic)
     pair = qs[:, None] * qs[None, :] * (qs[:, None] + qs[None, :]) / _off_diag(zs) ** 2
     np.fill_diagonal(pair, 0.0)
     return complex(kinetic - 0.5 * pair.sum())
@@ -234,10 +206,7 @@ def _invariant(zs: np.ndarray, qs: np.ndarray) -> complex:
 
 def conserved_quantity(system: ChargeSystem) -> complex:
     """The charge-weighted invariant H of the flow (see module docstring)."""
-    zs = np.asarray(system.positions, dtype=complex)
-    qs = np.asarray(system.charges, dtype=float)
-    _check_separation(zs, system.diameter(), 0.0, None)
-    return _invariant(zs, qs)
+    return _invariant(*_separated(system))
 
 
 def acceleration_residual(system: ChargeSystem) -> float:
@@ -247,19 +216,14 @@ def acceleration_residual(system: ChargeSystem) -> float:
     closed pairwise law; the difference must vanish at any configuration,
     not just along trajectories.
     """
-    zs = np.asarray(system.positions, dtype=complex)
-    qs = np.asarray(system.charges, dtype=float)
-    _check_separation(zs, system.diameter(), 0.0, None)
-    n = len(zs)
-    if n < 2:
-        return 0.0
+    zs, qs = _separated(system)
     v = _velocities(zs, qs)
     diff = _off_diag(zs)
     chain_terms = (qs[None, :] * (v[:, None] - v[None, :])) / diff ** 2
     closed_terms = (qs[None, :] * (qs[:, None] + qs[None, :])) / diff ** 3
     np.fill_diagonal(chain_terms, 0.0)
     np.fill_diagonal(closed_terms, 0.0)
-    return float(np.abs(chain_terms.sum(axis=1) - closed_terms.sum(axis=1)).max())
+    return float(np.abs(chain_terms.sum(axis=1) - closed_terms.sum(axis=1)).max(initial=0.0))
 
 
 def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
@@ -271,16 +235,9 @@ def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
     returned residual is O(dt) plus root-finding noise.
     """
     lam = Fraction(lam)
-    for name, poly in (("p", p), ("q", q)):
-        if poly.is_zero or not is_squarefree(poly):
-            raise NotSquarefree(f"{name} must be nonzero and squarefree")
-    if gcd_poly(p, q).degree != 0:
-        raise NotCoprime("p and q share a root")
+    system = ChargeSystem.from_pair(p, q, lam)
     p, q = p.monic() if p.degree > 0 else ExactPoly.one(), q.monic() if q.degree > 0 else ExactPoly.one()
-    n, m = max(int(p.degree), 0), max(int(q.degree), 0)
-    positions = (roots(p) if n else []) + (roots(q) if m else [])
-    charges = [1.0] * n + [-float(lam)] * m
-    system = ChargeSystem(positions, charges)
+    n, m = int(p.degree), int(q.degree)
     traj = integrate(system, dt, rel_tol=1e-12, abs_tol=1e-14, _rhs_scale=-2.0)
     moved = traj.final.system.positions
     p0 = np.asarray(to_floats(p))

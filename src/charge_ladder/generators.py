@@ -17,15 +17,12 @@ from typing import Mapping, Sequence
 from .polyrat import (
     ExactPoly,
     InvariantViolation,
-    NotCoprime,
-    NotSquarefree,
     RationalLike,
     as_fraction,
     exact_div,
-    gcd_poly,
     hermite_reduce,
     integrate_rational,
-    is_squarefree,
+    require_squarefree_coprime,
     wronskian,
 )
 
@@ -296,11 +293,7 @@ def certify_rational_integrals(p: ExactPoly, q: ExactPoly, lam: RationalLike) ->
     lam = as_fraction(lam)
     if lam not in (Fraction(1, 2), Fraction(1), Fraction(2)):
         raise UnsupportedLambda(f"lambda must be 1/2, 1 or 2, got {lam}")
-    for name, poly in (("p", p), ("q", q)):
-        if poly.is_zero or not is_squarefree(poly):
-            raise NotSquarefree(f"{name} must be nonzero and squarefree")
-    if gcd_poly(p, q).degree != 0:
-        raise NotCoprime("p and q share a root")
+    require_squarefree_coprime(p, q)
     br = bracket(p, q, BracketParams(lam))
     sides = (
         (f"q^{int(2 * lam)}/p^2", q ** int(2 * lam), p),

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polyrat import ExactPoly, NotCoprime, NotSquarefree, gcd_poly, is_squarefree
+from .polyrat import ExactPoly, require_squarefree_coprime
 
 __all__ = [
     "ChargeSystem",
@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_ROOT_TOL",
     "DEFAULT_FORCE_TOL",
     "COLLISION_FACTOR",
+    "closest_pair",
     "force",
     "roots",
     "to_floats",
@@ -91,6 +92,21 @@ class ChargeSystem:
             field=fld,
         )
 
+    @classmethod
+    def from_pair(cls, p: ExactPoly, q: ExactPoly, lam, k=0,
+                  root_tol: float = DEFAULT_ROOT_TOL) -> "ChargeSystem":
+        """Charge +1 at each root of p, then charge -lam at each root of q (none
+        for a constant), in field k: a complex k as given, else as a rational.
+
+        Raises NotSquarefree or NotCoprime unless p and q are nonzero,
+        squarefree and coprime.  Roots come from `roots` at tolerance root_tol.
+        """
+        require_squarefree_coprime(p, q)
+        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly, root_tol)]
+        charges = [1.0] * int(p.degree) + [-float(Fraction(lam))] * int(q.degree)
+        fld = k if isinstance(k, complex) else complex(float(Fraction(k)))
+        return cls(positions, charges, field=fld)
+
 
 def to_floats(p: ExactPoly) -> np.ndarray:
     """Ascending-degree float64 coefficients (nearest-double rounding)."""
@@ -102,6 +118,41 @@ def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     for c in coeffs[::-1]:
         acc = acc * zs + c
     return acc
+
+
+def _off_diag(zs: np.ndarray) -> np.ndarray:
+    """Pairwise differences with the (singular) diagonal replaced by 1."""
+    diff = zs[:, None] - zs[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return diff
+
+
+def _velocities(zs: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """sum_{j != i} Q_j / (z_i - z_j) for every i; no collision check."""
+    terms = qs[None, :] / _off_diag(zs)
+    np.fill_diagonal(terms, 0.0)
+    return terms.sum(axis=1)
+
+
+def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """Smallest distance between two of the points zs and the pair (i, j)
+    attaining it; (inf, None) for fewer than two points."""
+    if len(zs) < 2:
+        return np.inf, None
+    dist = np.abs(zs[:, None] - zs[None, :])
+    np.fill_diagonal(dist, np.inf)
+    i, j = np.unravel_index(int(dist.argmin()), dist.shape)
+    return float(dist.min()), (int(i), int(j))
+
+
+def _separated(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and charges of system as arrays.  Raises CollisionError when
+    two charges sit within COLLISION_FACTOR times the system's diameter."""
+    zs = np.asarray(system.positions, dtype=complex)
+    dist, pair = closest_pair(zs)
+    if dist <= COLLISION_FACTOR * system.diameter():
+        raise CollisionError(f"charges {pair[0]} and {pair[1]} within {dist:.3e}")
+    return zs, np.asarray(system.charges, dtype=float)
 
 
 def roots(p: ExactPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
@@ -150,31 +201,9 @@ def roots(p: ExactPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
                 f"root polishing stalled; worst residual {float(np.abs(pv).max()):.3e}")
     out = zs.astype(complex)
     spread = max(float(np.abs(out).max()), 1.0)
-    diff = np.abs(out[:, None] - out[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() < 1e-7 * spread:
+    if closest_pair(out)[0] < 1e-7 * spread:
         warnings.warn("near-coincident roots detected", MultipleRootWarning)
     return [complex(z) for z in out]
-
-
-def _pairwise_terms(system: ChargeSystem) -> np.ndarray:
-    """Matrix Q_j / (z_i - z_j) with zero diagonal; raises on collisions."""
-    zs = np.asarray(system.positions, dtype=complex)
-    qs = np.asarray(system.charges, dtype=float)
-    n = len(zs)
-    if n < 2:
-        return np.zeros((n, n), dtype=complex)
-    diff = zs[:, None] - zs[None, :]
-    dist = np.abs(diff)
-    np.fill_diagonal(dist, np.inf)
-    threshold = COLLISION_FACTOR * system.diameter()
-    if dist.min() <= threshold:
-        i, j = np.unravel_index(int(dist.argmin()), dist.shape)
-        raise CollisionError(f"charges {i} and {j} within {dist.min():.3e}")
-    np.fill_diagonal(diff, 1.0)
-    terms = qs[None, :] / diff
-    np.fill_diagonal(terms, 0.0)
-    return terms
 
 
 def force(system: ChargeSystem) -> list[complex]:
@@ -183,9 +212,8 @@ def force(system: ChargeSystem) -> list[complex]:
     All components vanishing is exactly the critical-point condition of the
     logarithmic pair energy (plus linear field term).
     """
-    terms = _pairwise_terms(system)
-    qs = np.asarray(system.charges, dtype=float)
-    f = qs * (system.field + terms.sum(axis=1))
+    zs, qs = _separated(system)
+    f = qs * (system.field + _velocities(zs, qs))
     return [complex(v) for v in f]
 
 
@@ -197,6 +225,7 @@ class EquilibriumReport:
     per_charge_forces: list[complex]
     root_residuals: list[float]
     tolerances: dict = field(default_factory=dict)
+    system: ChargeSystem | None = None
 
     @property
     def equilibrium(self) -> bool:
@@ -220,36 +249,25 @@ def verify_equilibrium(
     tol: float = DEFAULT_FORCE_TOL,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> EquilibriumReport:
-    """Extract roots of p (charge +1) and q (charge -lam), evaluate all forces
-    in field k and report the maximum force norm against tol."""
-    for name, poly in (("p", p), ("q", q)):
-        if poly.is_zero or not is_squarefree(poly):
-            raise NotSquarefree(f"{name} must be nonzero and squarefree")
-    if gcd_poly(p, q).degree != 0:
-        raise NotCoprime("p and q share a root")
-    lam_f = float(Fraction(lam))
-    k_f = complex(float(Fraction(k))) if not isinstance(k, complex) else k
-    positions: list[complex] = []
-    charges: list[float] = []
+    """Force audit of `ChargeSystem.from_pair(p, q, lam, k, root_tol)`, which
+    raises NotSquarefree or NotCoprime on an invalid pair.
+
+    Reports every force, the largest force norm against tol, the float64
+    residual |p(r)| or |q(r)| of each root in system order, and the system
+    itself.  Float roots that coincide raise CollisionError.
+    """
+    system = ChargeSystem.from_pair(p, q, lam, k, root_tol)
+    deg_p = int(p.degree)
     residuals: list[float] = []
-
-    def add(poly: ExactPoly, charge: float):
-        if poly.degree < 1:
-            return
+    for poly, zs in ((p, system.positions[:deg_p]), (q, system.positions[deg_p:])):
         cf = to_floats(poly)
-        for r in roots(poly, root_tol):
-            positions.append(r)
-            charges.append(charge)
-            residuals.append(float(abs(_horner(cf, np.array([r], dtype=complex))[0])))
-
-    add(p, 1.0)
-    add(q, -lam_f)
-    system = ChargeSystem(positions, charges, field=k_f)
-    forces = force(system) if positions else []
+        residuals += [float(abs(_horner(cf, np.array([z], dtype=complex))[0])) for z in zs]
+    forces = force(system)
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(
         max_force_norm=max_norm,
         per_charge_forces=forces,
         root_residuals=residuals,
         tolerances={"force": tol, "root": root_tol, "collision": COLLISION_FACTOR},
+        system=system,
     )

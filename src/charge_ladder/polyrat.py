@@ -38,6 +38,7 @@ __all__ = [
     "integrate_rational",
     "invert_mod",
     "is_squarefree",
+    "require_squarefree_coprime",
     "residue_divisibility",
     "squarefree_factorization",
     "wronskian",
@@ -670,6 +671,16 @@ def is_squarefree(p: ExactPoly) -> bool:
     if p.degree == 0:
         return True
     return gcd_poly(p, p.derivative()).degree == 0
+
+
+def require_squarefree_coprime(p: ExactPoly, q: ExactPoly) -> None:
+    """Raise NotSquarefree unless p and q are nonzero and squarefree, and
+    NotCoprime when they share a root."""
+    for name, poly in (("p", p), ("q", q)):
+        if not is_squarefree(poly):
+            raise NotSquarefree(f"{name} must be nonzero and squarefree")
+    if gcd_poly(p, q).degree != 0:
+        raise NotCoprime("p and q share a root")
 
 
 def squarefree_factorization(p: ExactPoly) -> list[tuple[ExactPoly, int]]:

@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from charge_ladder.cli import main
+from charge_ladder.numerics import MultipleRootWarning
 from charge_ladder.polyrat import ExactPoly
 
 Z = ExactPoly.x()
@@ -139,6 +142,17 @@ def test_equilibrium_csv_positions(tmp_path, capsys):
     assert [float(r[2]) for r in rows] == [1.0, 1.0, -2.0]
 
 
+def test_equilibrium_coincident_float_roots_exit_3(tmp_path, capsys):
+    # exactly squarefree, but the two roots round to one double
+    p = write_poly(tmp_path, "p.json", (Z - 1) * (Z - 1 - F(1, 10 ** 12)))
+    q = write_poly(tmp_path, "q.json", Z)
+    with pytest.warns(MultipleRootWarning):
+        code, out, err = run(capsys, "equilibrium", p, q, "--lam", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: charges 0 and 1 within")
+
+
 def test_solve_field_solved(tmp_path, capsys):
     q = write_poly(tmp_path, "q.json", Z)
     code, out, _ = run(capsys, "solve-field", q)
@@ -199,6 +213,16 @@ def test_simulate_from_pair(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["status"] == "ok"
+
+
+def test_simulate_from_pair_validates_pair(tmp_path, capsys):
+    pairs = [(Z ** 2 * (Z - 3), Z - 1, "p must be nonzero and squarefree"),
+             (Z * (Z - 3), Z * (Z + 2), "p and q share a root")]
+    for p_poly, q_poly, message in pairs:
+        p, q = write_poly(tmp_path, "p.json", p_poly), write_poly(tmp_path, "q.json", q_poly)
+        for argv in (["simulate", "--p", p, "--q", q], ["equilibrium", p, q], ["certify", p, q]):
+            code, out, err = run(capsys, *argv, "--lam", "2")
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_simulate_needs_input(capsys):

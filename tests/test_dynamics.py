@@ -64,9 +64,10 @@ def test_vortex_vanishes_for_all_certified_pairs(ladder_chain, adler_moser_chain
         assert max(abs(v) for v in vortex_rhs(system)) < 1e-9
 
 
-def test_vortex_collision_error():
-    with pytest.raises(CollisionError):
-        vortex_rhs(ChargeSystem([0j, 0j], [1.0, 1.0]))
+@pytest.mark.parametrize("evaluate", [vortex_rhs, conserved_quantity, acceleration_residual])
+def test_vortex_collision_error(evaluate):
+    with pytest.raises(CollisionError, match="charges 0 and 1 within"):
+        evaluate(ChargeSystem([0j, 0j], [1.0, 1.0]))
 
 
 # -- integration -----------------------------------------------------------------
@@ -96,6 +97,11 @@ def test_attracting_pair_collides_in_finite_time():
     assert abs(info.value.time - 2.0) < 1e-6
     assert set(info.value.pair) == {0, 1}
     assert info.value.trajectory.samples  # partial history is preserved
+    with pytest.raises(CollisionDetected) as info:
+        integrate(ChargeSystem([2j, 1 + 0j, 1 + 0j], [1.0, 1.0, -2.0]), 1.0)
+    assert info.value.time == 0.0
+    assert info.value.pair == (1, 2)
+    assert not info.value.trajectory.samples
 
 
 def test_flow_consistency_restart():

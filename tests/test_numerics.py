@@ -141,6 +141,8 @@ def test_verify_equilibrium_ladder_pair():
 def test_verify_equilibrium_field_case():
     report = verify_equilibrium(Z ** 2 - 3 * Z + 3, Z, 2, k=1)
     assert report.max_force_norm < 1e-10
+    assert report.system.charges == [1.0, 1.0, -2.0]
+    assert report.system.field == 1 + 0j
 
 
 def test_verify_equilibrium_rejects_non_solution():
@@ -150,10 +152,13 @@ def test_verify_equilibrium_rejects_non_solution():
 
 
 def test_verify_equilibrium_preconditions():
-    with pytest.raises(NotSquarefree):
-        verify_equilibrium(Z ** 2, Z + 1, 1)
-    with pytest.raises(NotCoprime):
-        verify_equilibrium(Z ** 2 - 1, Z - 1, 1)
+    for build in (verify_equilibrium, ChargeSystem.from_pair):
+        with pytest.raises(NotSquarefree, match="p must be nonzero and squarefree"):
+            build(Z ** 2, Z + 1, 1)
+        with pytest.raises(NotSquarefree, match="q must be nonzero and squarefree"):
+            build(Z + 1, ExactPoly.zero(), 1)
+        with pytest.raises(NotCoprime, match="p and q share a root"):
+            build(Z ** 2 - 1, Z - 1, 1)
 
 
 def test_report_echoes_tolerances_and_serializes():
@@ -163,3 +168,5 @@ def test_report_echoes_tolerances_and_serializes():
     assert blob["equilibrium"] is False
     assert len(blob["per_charge_forces"]) == 3
     assert len(blob["root_residuals"]) == 3
+    assert "system" not in blob
+    assert report.system.charges == [1.0, 1.0, -1.0]
