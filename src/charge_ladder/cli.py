@@ -8,10 +8,12 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     1  negative outcome (bracket nonzero, integrals obstructed,
        not an equilibrium, system incompatible)
     2  usage error (malformed rationals, unsupported lambda, bad files)
-    3  root-finder failure, or float roots that coincide (equilibrium) on
-       a pair the exact layer accepted as squarefree and coprime
+    3  root-finder failure, or float roots that coincide (equilibrium,
+       simulate --p/--q) on a pair the exact layer accepted as squarefree
+       and coprime
     4  collision detected during simulation
     5  integrator step-size underflow
+    6  internal invariant violated (a bug, not a verdict on the input)
 
 CHARGE_LADDER_TOL overrides the default force tolerance.
 """
@@ -43,7 +45,7 @@ from .numerics import (
     ConvergenceFailure,
     verify_equilibrium,
 )
-from .polyrat import ExactPoly, NotCoprime, NotSquarefree
+from .polyrat import ExactPoly, InvariantViolation, NotCoprime, NotSquarefree
 from .spectral import FieldRequired, solve_p_given_q
 
 _CONST_FLAG = re.compile(r"^--(t|tau)(-?\d+)$")
@@ -307,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .polyrat import (
     ExactPoly,
     InvariantViolation,
+    NotSquarefree,
     RationalLike,
     as_fraction,
     exact_div,
@@ -116,21 +117,25 @@ def _coerce_state(index: int, constants) -> LadderState:
     raise TypeError("constants must be a LadderState or a mapping of step -> rational")
 
 
-def _ladder_step(prefactor: ExactPoly, coef: int, num: ExactPoly, den: ExactPoly,
-                 constant: Fraction, what: str) -> ExactPoly:
-    """One first-order recurrence step: prefactor * (coef * I(num/den^2) + constant).
+def _ladder_step(den: ExactPoly, coef: int, num: ExactPoly, constant: Fraction,
+                 what: str) -> ExactPoly:
+    """One first-order recurrence step: den * (coef * I(num/den^2) + constant).
 
     The antiderivative must come out free of logarithms; a logarithmic
     obstruction would contradict the closure of the family and is reported as
-    an internal invariant failure.
+    an internal invariant failure.  A squarefree den goes through Hermite
+    reduction; the others take the general route: theta_2 = z^3 when t_2 = 0,
+    and the pure powers of z that zero ladder constants give.
     """
-    red = integrate_rational(num, den * den)
+    try:
+        red = hermite_reduce(num, den)
+        rational = red.rational_part_numerator
+    except NotSquarefree:
+        red = integrate_rational(num, den * den)
+        rational = red.rational_numerator * exact_div(den, red.rational_denominator)
     if not red.log_free:
         raise InvariantViolation(f"logarithmic term encountered while generating {what}")
-    result = red.poly_antideriv * prefactor
-    if not red.rational_numerator.is_zero:
-        result = result + red.rational_numerator * exact_div(prefactor, red.rational_denominator)
-    return coef * result + constant * prefactor
+    return coef * (red.poly_antideriv * den + rational) + constant * den
 
 
 def adler_moser(n: int, constants=None) -> ExactPoly:
@@ -148,8 +153,7 @@ def adler_moser(n: int, constants=None) -> ExactPoly:
     if n == 0:
         return prev
     for m in range(1, n):
-        nxt = _ladder_step(prev, 2 * m + 1, cur * cur, prev, state.t_at(m + 1),
-                           f"theta_{m + 1}")
+        nxt = _ladder_step(prev, 2 * m + 1, cur * cur, state.t_at(m + 1), f"theta_{m + 1}")
         prev, cur = cur, nxt
     expected = n * (n + 1) // 2
     if cur.degree != expected or cur.lead != 1:
@@ -203,12 +207,12 @@ def lambda2_ladder(i: int, constants=None) -> tuple[ExactPoly, ExactPoly]:
     p, q = ExactPoly.one(), ExactPoly.one()
     if i >= 0:
         for j in range(1, i + 1):
-            q = _ladder_step(q, 3 * (j - 1) + 1, p, q, state.tau_at(j), f"q_{j}")
-            p = _ladder_step(p, 6 * j - 1, q ** 4, p, state.t_at(j), f"p_{j}")
+            q = _ladder_step(q, 3 * (j - 1) + 1, p, state.tau_at(j), f"q_{j}")
+            p = _ladder_step(p, 6 * j - 1, q ** 4, state.t_at(j), f"p_{j}")
     else:
         for j in range(0, i, -1):
-            p_new = _ladder_step(p, -(6 * j - 1), q ** 4, p, state.t_at(j - 1), f"p_{j - 1}")
-            q = _ladder_step(q, -(3 * (j - 1) + 1), p_new, q, state.tau_at(j - 1), f"q_{j - 1}")
+            p_new = _ladder_step(p, -(6 * j - 1), q ** 4, state.t_at(j - 1), f"p_{j - 1}")
+            q = _ladder_step(q, -(3 * (j - 1) + 1), p_new, state.tau_at(j - 1), f"q_{j - 1}")
             p = p_new
     if p.degree != i * (3 * i + 2) or q.degree != i * (3 * i - 1) // 2:
         raise InvariantViolation(

@@ -99,13 +99,16 @@ class ChargeSystem:
         for a constant), in field k: a complex k as given, else as a rational.
 
         Raises NotSquarefree or NotCoprime unless p and q are nonzero,
-        squarefree and coprime.  Roots come from `roots` at tolerance root_tol.
+        squarefree and coprime.  Roots come from `roots` at tolerance root_tol;
+        float roots that coincide raise CollisionError.
         """
         require_squarefree_coprime(p, q)
         positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly, root_tol)]
         charges = [1.0] * int(p.degree) + [-float(Fraction(lam))] * int(q.degree)
         fld = k if isinstance(k, complex) else complex(float(Fraction(k)))
-        return cls(positions, charges, field=fld)
+        system = cls(positions, charges, field=fld)
+        _separated(system)
+        return system
 
 
 def to_floats(p: ExactPoly) -> np.ndarray:

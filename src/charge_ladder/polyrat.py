@@ -1,9 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` throughout, stored in ascending degree
-order with trailing zeros stripped, so equality and degree are structural and
-nothing here ever rounds.  On top of the ring operations the module provides
-the two symbolic primitives everything else is built on:
+A polynomial is stored as integer numerators over one positive common
+denominator, in ascending degree order with trailing zeros stripped and in
+lowest terms, so equality and degree are structural and nothing here ever
+rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
+run by Kronecker substitution and modular inverses by Newton lifting, both on
+Python integers.  On top of the ring operations the module provides the two
+symbolic primitives everything else is built on:
 
 * log-free reduction of integrals of the form N/p**2 (``hermite_reduce``,
   plus the fully general ``integrate_rational`` for arbitrary denominators),
@@ -75,17 +78,36 @@ def as_fraction(value: RationalLike) -> Fraction:
 class ExactPoly:
     """Immutable univariate polynomial with exact rational coefficients.
 
-    ``coeffs[d]`` is the coefficient of z**d; there are never trailing
-    zeros, so the zero polynomial has an empty tuple and degree -inf.
+    The coefficient of z**d is ``_num[d] / _den``: integer numerators without
+    trailing zeros over one positive denominator sharing no factor with all of
+    them, so the zero polynomial is ``((), 1)`` with degree -inf.  ``coeffs``
+    gives the same coefficients as reduced Fractions, built on first use.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _ints(cls, nums: list[int], den: int = 1) -> "ExactPoly":
+        """The polynomial sum(nums[d] * z**d) / den, for any nonzero den;
+        takes ownership of the list."""
+        poly = object.__new__(cls)
+        poly._set(nums, den)
+        return poly
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [c // g for c in nums], den // g
+        self._num, self._den, self._coeffs = tuple(nums), den, None
 
     # -- construction helpers ------------------------------------------------
 
@@ -116,49 +138,51 @@ class ExactPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self._den) for c in self._num)
         return self._coeffs
 
     @property
     def degree(self) -> float:
         """Degree; the zero polynomial reports -inf so degree sums work."""
-        return len(self._coeffs) - 1 if self._coeffs else -math.inf
+        return len(self._num) - 1 if self._num else -math.inf
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def lead(self) -> Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self.coeff(len(self._num) - 1)
 
     def coeff(self, degree: int) -> Fraction:
         """Coefficient of z**degree (0 beyond the stored range)."""
-        if 0 <= degree < len(self._coeffs):
-            return self._coeffs[degree]
+        if 0 <= degree < len(self._num):
+            return Fraction(self._num[degree], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExactPoly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == ExactPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- pretty printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts = []
-        for d in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[d]
+        for d in range(len(self._num) - 1, -1, -1):
+            c = self.coeffs[d]
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -177,15 +201,17 @@ class ExactPoly:
     # -- ring operations -----------------------------------------------------
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self._coeffs))
+        return ExactPoly._ints([-c for c in self._num], self._den)
 
     def __add__(self, other) -> "ExactPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactPoly(
-            a + b for a, b in itertools.zip_longest(self._coeffs, other._coeffs, fillvalue=Fraction(0))
-        )
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return ExactPoly._ints(
+            [a * sa + b * sb for a, b in itertools.zip_longest(self._num, other._num, fillvalue=0)],
+            den)
 
     __radd__ = __add__
 
@@ -203,21 +229,11 @@ class ExactPoly:
 
     def __mul__(self, other) -> "ExactPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return ExactPoly.zero()
-            return ExactPoly(tuple(c * other for c in self._coeffs))
+            return ExactPoly._ints([c * other.numerator for c in self._num],
+                                   self._den * other.denominator)
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ExactPoly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] += a * b
-        return ExactPoly(out)
+        return ExactPoly._ints(_kmul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -226,7 +242,8 @@ class ExactPoly:
             return NotImplemented
         if scalar == 0:
             raise DivisionByZero("division of polynomial by zero scalar")
-        return ExactPoly(tuple(c / scalar for c in self._coeffs))
+        return ExactPoly._ints([c * scalar.denominator for c in self._num],
+                               self._den * scalar.numerator)
 
     def __pow__(self, n: int) -> "ExactPoly":
         if not isinstance(n, int) or n < 0:
@@ -247,20 +264,13 @@ class ExactPoly:
             return NotImplemented
         if divisor.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self._coeffs)
-        dd = len(divisor._coeffs) - 1
-        dlead = divisor._coeffs[-1]
-        if len(rem) - 1 < dd:
+        if len(self._num) < len(divisor._num):
             return ExactPoly.zero(), self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd] / dlead
-            if c == 0:
-                continue
-            quot[k] = c
-            for j, dc in enumerate(divisor._coeffs):
-                rem[k + j] -= c * dc
-        return ExactPoly(quot), ExactPoly(rem[:dd])
+        # s*A = Q*B + R over Z, with self = A/da and divisor = B/db
+        quot, rem, s = _divmod_int(self._num, divisor._num)
+        den = s * self._den
+        return (ExactPoly._ints([c * divisor._den for c in quot], den),
+                ExactPoly._ints(rem, den))
 
     def __floordiv__(self, divisor: "ExactPoly") -> "ExactPoly":
         return divmod(self, divisor)[0]
@@ -279,40 +289,40 @@ class ExactPoly:
     # -- calculus and substitution --------------------------------------------
 
     def derivative(self, order: int = 1) -> "ExactPoly":
-        p = self
+        nums = list(self._num)
         for _ in range(order):
-            p = ExactPoly(tuple(c * d for d, c in enumerate(p._coeffs) if d >= 1))
-        return p
+            nums = [c * d for d, c in enumerate(nums)][1:]
+        return ExactPoly._ints(nums, self._den)
 
     def antiderivative(self) -> "ExactPoly":
         """Antiderivative with zero constant term."""
-        return ExactPoly((Fraction(0),) + tuple(c / (d + 1) for d, c in enumerate(self._coeffs)))
+        scale = math.lcm(*range(1, len(self._num) + 1))
+        return ExactPoly._ints([0] + [c * (scale // (d + 1)) for d, c in enumerate(self._num)],
+                               self._den * scale)
 
     def compose_linear(self, scale: RationalLike, shift: RationalLike = 0) -> "ExactPoly":
         """Substitute z -> scale*z + shift."""
         a, b = as_fraction(scale), as_fraction(shift)
         if b == 0:
-            power = Fraction(1)
-            out = []
-            for c in self._coeffs:
-                out.append(c * power)
-                power *= a
-            return ExactPoly(out)
+            n = len(self._num) - 1
+            return ExactPoly._ints(
+                [c * a.numerator ** d * a.denominator ** (n - d) for d, c in enumerate(self._num)],
+                self._den * a.denominator ** max(n, 0))
         lin = ExactPoly((b, a))
         acc = ExactPoly.zero()
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * lin + c
         return acc
 
     def monic(self) -> "ExactPoly":
         if self.is_zero:
             raise DivisionByZero("the zero polynomial has no monic normalization")
-        return self / self.lead
+        return ExactPoly._ints(list(self._num), self._num[-1])
 
     def __call__(self, point):
         """Evaluate by Horner; exact for Fraction/int points, float otherwise."""
         acc = point * 0  # zero of the point's type
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * point + (c if isinstance(point, (int, Fraction)) else (c.numerator / c.denominator))
         return acc
 
@@ -320,7 +330,7 @@ class ExactPoly:
 
     def to_json(self) -> dict:
         """Shared wire format: {"var": "z", "coeffs": [rational strings]}."""
-        return {"var": "z", "coeffs": [str(c) for c in self._coeffs]}
+        return {"var": "z", "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ExactPoly":
@@ -338,6 +348,106 @@ def exact_div(num: ExactPoly, den: ExactPoly) -> ExactPoly:
 
 
 # ---------------------------------------------------------------------------
+# integer-vector kernels
+#
+# Everything below works on the numerator vectors of ExactPoly: ascending
+# lists of Python ints.  A rational operation becomes an integer one plus a
+# bookkeeping step on the common denominator.
+# ---------------------------------------------------------------------------
+
+
+def _pack(v: Sequence[int], width: int) -> int:
+    """sum(v[d] * 256**(width*d)) for signed v, each |v[d]| < 256**width."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in v)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in v)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer vectors by Kronecker substitution (Harvey, JSC 2009).
+
+    Both vectors are evaluated at 256**width, with slots wide enough for any
+    product coefficient and its sign, so one big-integer multiplication
+    (CPython's Karatsuba) does the whole convolution.  Adding half a slot to
+    every slot before unpacking makes each slot's content non-negative, so no
+    borrow crosses a slot boundary.
+    """
+    if not a or not b:
+        return []
+    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+            + min(len(a), len(b)).bit_length() + 1)
+    width = -(-bits // 8)
+    slots = len(a) + len(b) - 1
+    packed = _pack(a, width)
+    product = packed * packed if a is b else packed * _pack(b, width)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    data = memoryview((product + offset).to_bytes(width * slots, "little"))
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * slots, width)]
+
+
+def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Division of integer vectors without fractions, len(a) >= len(b).
+
+    Returns quot, rem and s > 0 with s*a = quot*b + rem and deg rem < deg b.
+    The partial remainder is scaled, by lead(b)/gcd(top, lead(b)), only at
+    the steps whose quotient digit would not be an integer.
+    """
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    s = 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = rem[k + db]
+        if not top:
+            continue
+        f = abs(lead) // math.gcd(top, lead)
+        if f > 1:
+            s *= f
+            top *= f
+            rem[:k + db] = [c * f for c in rem[:k + db]]
+            quot[k + 1:] = [c * f for c in quot[k + 1:]]
+        c = quot[k] = top // lead
+        for j in range(db):
+            rem[k + j] -= c * b[j]
+    return quot, rem[:db], s
+
+
+def _divmod_mod(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer vectors over Z/n, for lead(b) a unit
+    mod n; both reduced into [0, n) with trailing zeros stripped.  Only the
+    entry that fixes the next quotient digit is reduced inside the loop."""
+    inv = pow(b[-1], -1, n)
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quot[k] = rem[k + db] % n * inv % n
+        if c:
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    rem = [c % n for c in rem[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    while quot and not quot[-1]:
+        quot.pop()
+    return quot, rem
+
+
+def _primitive(ints: Sequence[int]) -> list[int]:
+    """ints without trailing zeros, divided by their content, lead positive."""
+    ints = list(ints)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    content = math.gcd(*ints)
+    if ints and ints[-1] < 0:
+        content = -content
+    return [v // content for v in ints] if content not in (0, 1) else ints
+
+
+# ---------------------------------------------------------------------------
 # gcd machinery
 #
 # The common case here is certifying *coprimality* of large generated
@@ -346,89 +456,37 @@ def exact_div(num: ExactPoly, den: ExactPoly) -> ExactPoly:
 # pseudo-remainder sequence over Z when the fast path is inconclusive.
 # ---------------------------------------------------------------------------
 
-_GCD_PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
+_PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
 
 
-def _int_coeffs(p: ExactPoly) -> list[int]:
-    """Scale coefficients to a primitive integer vector (content removed)."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> tuple[int, list[int]]:
+    """Extended Euclid over GF(prime), for lead(a) nonzero mod prime.
+
+    Returns the degree of gcd(a, b) and t with t*b = gcd (mod a, prime), the
+    gcd taken monic; a degree of 0 makes t the inverse of b modulo a.
+    """
+    r0, r1 = [c % prime for c in a], [c % prime for c in b]
+    while r1 and not r1[-1]:
+        r1.pop()
+    t0, t1 = [], [1]
+    while r1:
+        quot, rem = _divmod_mod(r0, r1, prime)
+        r0, r1 = r1, rem
+        t0, t1 = t1, [(x - y) % prime for x, y in
+                      itertools.zip_longest(t0, _kmul(quot, t1), fillvalue=0)]
+        while t1 and not t1[-1]:
+            t1.pop()
+    scale = pow(r0[-1], -1, prime)
+    return len(r0) - 1, [c * scale % prime for c in t0]
 
 
-def _mod_gcd_degree(a: Sequence[int], b: Sequence[int], prime: int) -> int | None:
-    """Degree of gcd of the reductions mod prime, or None if a leading
-    coefficient vanishes mod prime (unusable prime)."""
-    if a[-1] % prime == 0 or b[-1] % prime == 0:
-        return None
-    fa = [c % prime for c in a]
-    fb = [c % prime for c in b]
-    while fb:
-        db = len(fb) - 1
-        inv = pow(fb[-1], prime - 2, prime)
-        while len(fa) - 1 >= db:
-            top = fa[-1]
-            if top:
-                factor = top * inv % prime
-                k = len(fa) - 1 - db
-                for j in range(db + 1):
-                    fa[k + j] = (fa[k + j] - factor * fb[j]) % prime
-            fa.pop()
-            while fa and fa[-1] == 0:
-                fa.pop()
-        fa, fb = fb, fa
-        while fb and fb[-1] == 0:
-            fb.pop()
-    return len(fa) - 1
-
-
-def _primitive(ints: list[int]) -> list[int]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
-def _pseudo_mod(a: list[int], b: list[int]) -> list[int]:
-    """Integer pseudo-remainder: lc(b)^k * a reduced mod b, no fractions."""
-    db = len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    while len(rem) - 1 >= db:
-        c = rem[-1]
-        if c == 0:
-            rem.pop()
-            continue
-        k = len(rem) - 1 - db
-        rem = [lead * x for x in rem]
-        for j in range(db + 1):
-            rem[k + j] -= c * b[j]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive pseudo-remainder sequence over Z."""
-    a, b = _primitive(list(a)), _primitive(list(b))
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_mod(a, b))
+        a, b = b, _primitive(_divmod_int(a, b)[1])
     return a
 
 
@@ -444,15 +502,12 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    ia, ib = _int_coeffs(a), _int_coeffs(b)
-    for prime in _GCD_PRIMES:
-        deg = _mod_gcd_degree(ia, ib, prime)
-        if deg == 0:
-            return ExactPoly.one()
-        if deg is not None:
+    for prime in _PRIMES:
+        if a._num[-1] % prime and b._num[-1] % prime:
+            if _euclid_mod(a._num, b._num, prime)[0] == 0:
+                return ExactPoly.one()
             break
-    g = _int_gcd(ia, ib)
-    return ExactPoly(g).monic()
+    return ExactPoly._ints(_int_gcd(a._num, b._num)).monic()
 
 
 def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
@@ -478,122 +533,61 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
     return r0 / lead, s0 / lead, t0 / lead
 
 
-# -- modular inverse with rational reconstruction ---------------------------
+# -- modular inverse by Newton lifting -----------------------------------------
 #
 # Inverses modulo large polynomials with bulky rational coefficients are the
 # single hot operation of the whole package (every Hermite reduction needs
 # one).  Plain extended Euclid over Q suffers severe intermediate blowup, so
-# the inverse is assembled from images mod word-size primes, lifted by CRT
-# and rational reconstruction, and finally *verified exactly*; the exact
-# Euclidean route remains as a fallback.
+# the inverse is computed mod one word-size prime, lifted p-adically by Newton
+# steps that double the precision, read back as rationals over one common
+# denominator, and finally *verified exactly* (von zur Gathen & Gerhard,
+# Modern Computer Algebra, 5.10 and 9); the exact Euclidean route remains as
+# a fallback.
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_LIFT_BITS = 1 << 18  # past this precision the exact fallback takes over
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _newton_step(a: Sequence[int], m: Sequence[int], s: list[int], n: int) -> list[int]:
+    """From s*a = 1 (mod m, n) to s' with s'*a = 1 (mod m, n**2).
+
+    s' = s*(2 - a*s) = s + n*(s*h) with h = (1 - a*s)/n, so the second
+    product and its reduction run at precision n, not n**2.
+    """
+    _, e = _divmod_mod(_kmul(a, s), m, n * n)
+    h = [-c // n for c in e]
+    h[0] = (1 - e[0]) // n
+    _, t = _divmod_mod(_kmul(s, h), m, n)
+    return [x + n * y for x, y in itertools.zip_longest(s, t, fillvalue=0)]
+
+
+def _reconstruct(residues: Sequence[int], n: int) -> tuple[list[int], int] | None:
+    """Numerators x_i and one denominator d, all at most sqrt(n/2) in size,
+    with x_i = d*residues[i] (mod n); None when there are none.
+
+    Wang's reconstruction (a half extended Euclid) runs only on a residue
+    that the running common denominator does not already bring under the
+    bound, so a vector whose coefficients share their denominator costs one
+    reconstruction and two multiplications per coefficient.
+    """
+    bound = math.isqrt(n >> 1)
+    den = 1
+    for v in residues:
+        r0, r1 = n, v * den % n
+        if min(r1, n - r1) <= bound:
             continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIME_CACHE: list[int] = []
-
-
-def _nth_prime(index: int) -> int:
-    candidate = _PRIME_CACHE[-1] + 2 if _PRIME_CACHE else (1 << 62) + 135
-    while len(_PRIME_CACHE) <= index:
-        if _is_prime(candidate):
-            _PRIME_CACHE.append(candidate)
-        candidate += 2
-    return _PRIME_CACHE[index]
-
-
-def _poly_divmod_p(a: list[int], b: list[int], prime: int) -> tuple[list[int], list[int]]:
-    inv = pow(b[-1], prime - 2, prime)
-    rem = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    while len(rem) - 1 >= db and rem:
-        c = rem[-1] * inv % prime
-        k = len(rem) - 1 - db
-        if c:
-            quot[k] = c
-            for j in range(db + 1):
-                rem[k + j] = (rem[k + j] - c * b[j]) % prime
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
-
-
-def _poly_inverse_p(a: list[int], m: list[int], prime: int) -> list[int] | None:
-    """Inverse of a mod (m, prime), or None when the gcd mod prime is nontrivial."""
-    fa = [c % prime for c in a]
-    fm = [c % prime for c in m]
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
+        s0, s1 = 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        den *= abs(s1)
+        if den > bound or math.gcd(den, n) != 1:
+            return None
+    nums = [v * den % n for v in residues]
+    nums = [x - n if x > n >> 1 else x for x in nums]
+    if any(abs(x) > bound for x in nums):
         return None
-    r0, r1 = fm, fa
-    t0, t1 = [0], [1]
-    while r1:
-        q, r = _poly_divmod_p(r0, r1, prime)
-        r0, r1 = r1, r
-        prod = [0] * (len(q) + len(t1) - 1) if q and t1 else []
-        for iq, cq in enumerate(q):
-            if cq:
-                for it, ct in enumerate(t1):
-                    prod[iq + it] = (prod[iq + it] + cq * ct) % prime
-        new_t = [(x - y) % prime for x, y in itertools.zip_longest(t0, prod, fillvalue=0)]
-        while new_t and new_t[-1] == 0:
-            new_t.pop()
-        t0, t1 = t1, new_t
-    if len(r0) != 1:
-        return None
-    scale = pow(r0[0], prime - 2, prime)
-    return [c * scale % prime for c in t0]
-
-
-def _rational_reconstruct(residue: int, modulus: int) -> Fraction | None:
-    """Wang reconstruction of n/d from n*d^{-1} mod modulus, |n|, d <= sqrt(M/2)."""
-    bound = math.isqrt(modulus // 2)
-    r0, r1 = modulus, residue % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    n, d = (r1, s1) if s1 > 0 else (-r1, -s1)
-    if math.gcd(d, modulus) != 1:
-        return None
-    return Fraction(n, d)
-
-
-def _scaled_ints(p: ExactPoly) -> tuple[list[int], int]:
-    """Integer coefficient vector and the common denominator it was scaled by."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return [int(c * den_lcm) for c in p.coeffs], den_lcm
+    return nums, den
 
 
 def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
@@ -605,58 +599,23 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         raise NotCoprime("zero has no inverse")
     if a.degree == 0:
         return ExactPoly.constant(1 / a.lead)
-    ia, a_scale = _scaled_ints(a)
-    im, _ = _scaled_ints(modulus)
-    images: dict[int, list[int]] = {}
-    coprime_seen = False
-    rejected = 0
-    prime_index = 0
-    target = 8
-    while rejected < 5 or coprime_seen:
-        while len(images) < target:
-            prime = _nth_prime(prime_index)
-            prime_index += 1
-            if im[-1] % prime == 0 or ia[-1] % prime == 0:
-                continue
-            inv = _poly_inverse_p(ia, im, prime)
-            if inv is None:
-                rejected += 1
-                if rejected >= 5 and not coprime_seen:
-                    break
-                continue
-            coprime_seen = True
-            images[prime] = inv
-        if not coprime_seen:
-            break
-        # CRT per coefficient slot, then rational reconstruction
-        big_m = 1
-        combined = [0] * (len(im) - 1)
-        for prime, inv in images.items():
-            if big_m == 1:
-                big_m = prime
-                for d in range(len(combined)):
-                    combined[d] = inv[d] if d < len(inv) else 0
-                continue
-            inv_mod = pow(big_m % prime, prime - 2, prime)
-            for d in range(len(combined)):
-                rp = inv[d] if d < len(inv) else 0
-                diff = (rp - combined[d]) % prime
-                combined[d] = combined[d] + big_m * (diff * inv_mod % prime)
-            big_m *= prime
-        coeffs = []
-        for value in combined:
-            frac = _rational_reconstruct(value, big_m)
-            if frac is None:
-                coeffs = None
-                break
-            coeffs.append(frac)
-        if coeffs is not None:
-            candidate = ExactPoly(coeffs) * a_scale
-            if ((candidate * a - 1) % modulus).is_zero:
-                return candidate
-        target *= 2
-        if target > 4096:
-            break
+    # modulus = M/dm and a = A/da, so a's inverse is da times A's
+    num, m = a._num, modulus._num
+    for prime in _PRIMES:
+        if m[-1] % prime == 0:
+            continue
+        deg, s = _euclid_mod(m, num, prime)
+        if deg != 0:
+            continue  # unlucky prime, or a genuine common factor
+        n = prime
+        while n.bit_length() <= _LIFT_BITS:
+            s, n = _newton_step(num, m, s, n), n * n
+            found = _reconstruct(s, n)
+            if found is not None:
+                candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
+                if ((candidate * a - 1) % modulus).is_zero:
+                    return candidate
+        break
     # Exact fallback; also the path that diagnoses genuine non-coprimality.
     g, s, _ = extended_gcd(a, modulus)
     if g.degree != 0:

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from charge_ladder import cli
 from charge_ladder.cli import main
 from charge_ladder.numerics import MultipleRootWarning
-from charge_ladder.polyrat import ExactPoly
+from charge_ladder.polyrat import ExactPoly, InvariantViolation
 
 Z = ExactPoly.x()
 
@@ -146,11 +147,22 @@ def test_equilibrium_coincident_float_roots_exit_3(tmp_path, capsys):
     # exactly squarefree, but the two roots round to one double
     p = write_poly(tmp_path, "p.json", (Z - 1) * (Z - 1 - F(1, 10 ** 12)))
     q = write_poly(tmp_path, "q.json", Z)
-    with pytest.warns(MultipleRootWarning):
-        code, out, err = run(capsys, "equilibrium", p, q, "--lam", "1")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: charges 0 and 1 within")
+    for argv in (["equilibrium", p, q], ["simulate", "--p", p, "--q", q]):
+        with pytest.warns(MultipleRootWarning):
+            code, out, err = run(capsys, *argv, "--lam", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: charges 0 and 1 within")
+
+
+def test_internal_invariant_violation_exits_6(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("ladder degrees drifted")
+
+    monkeypatch.setattr(cli, "lambda2_ladder", broken)
+    code, out, err = run(capsys, "generate", "lambda2", "2")
+    assert (code, out) == (6, "")
+    assert err == "error: internal invariant violated: ladder degrees drifted\n"
 
 
 def test_solve_field_solved(tmp_path, capsys):

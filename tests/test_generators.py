@@ -196,12 +196,20 @@ def test_ladder_degree_law(ladder_chain):
 
 
 def test_ladder_degenerate_constants_still_close():
-    # all-zero constants collapse to pure powers but keep degrees and brackets
+    # all-zero constants collapse to pure powers but keep degrees and brackets;
+    # their steps divide by non-squarefree denominators (general integration)
     for i in (-3, -1, 2, 3):
         p, q = lambda2_ladder(i)
         assert p == ExactPoly.monomial(i * (3 * i + 2))
         assert q == ExactPoly.monomial(i * (3 * i - 1) // 2)
         assert bracket(p, q, BracketParams(2)).is_zero
+    for n in range(2, 7):
+        assert adler_moser(n) == ExactPoly.monomial(n * (n + 1) // 2)
+    # t_2 = 0 leaves theta_2 = z^3, the denominator of the theta_4 step
+    theta4, theta5 = adler_moser(4, {4: F(5, 3)}), adler_moser(5, {4: F(5, 3)})
+    assert theta4 == Z ** 10 + F(5, 3) * Z ** 3
+    assert theta5.degree == 15 and theta5.lead == 1
+    assert bracket(theta4, theta5, BracketParams(1)).is_zero
 
 
 def test_ladder_bracket_identities(ladder_chain):

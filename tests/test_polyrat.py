@@ -78,6 +78,41 @@ def test_degree_multiplicativity():
         assert (a * b).degree == a.degree + b.degree
 
 
+def schoolbook_product(a, b):
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return out
+
+
+def test_product_matches_schoolbook_reference():
+    rng = random.Random(17)
+    big = lambda: rng.choice((-1, 1)) * rng.getrandbits(300)
+
+    def draw(degree, kind):
+        coeffs = []
+        for d in range(degree + 1):
+            if kind == "big":
+                c = F(big())
+            elif kind == "mixed":
+                c = F(big(), rng.choice((1, 3, 2 ** 40, 7 ** 30, rng.getrandbits(200) | 1)))
+            else:  # interior zeros, small signed values
+                c = F(rng.randint(-9, 9), rng.randint(1, 5)) if d % 3 == 0 else F(0)
+            coeffs.append(c)
+        coeffs[-1] = coeffs[-1] or F(-1)
+        return ExactPoly(coeffs)
+
+    for kind in ("big", "mixed", "sparse"):
+        for da in (0, 1, 2, 7):
+            for db in (0, 1, 5, 12):
+                a, b = draw(da, kind), draw(db, rng.choice(("big", "mixed", "sparse")))
+                assert list((a * b).coeffs) == schoolbook_product(a, b)
+                assert list((a * a).coeffs) == schoolbook_product(a, a)
+    assert (ExactPoly([F(-1, 3)]) * ExactPoly([F(3, 2), 0, 6])) == ExactPoly([F(-1, 2), 0, -2])
+    assert (ExactPoly.zero() * (Z + 1)).is_zero
+
+
 def test_compose_linear_and_eval():
     p = Z ** 2 - 3 * Z + 3
     assert p.compose_linear(2) == 4 * Z ** 2 - 6 * Z + 3
@@ -138,6 +173,15 @@ def test_invert_mod():
     assert ((inv * a - 1) % m).is_zero
     with pytest.raises(NotCoprime):
         invert_mod(Z - 1, Z ** 2 - 1)
+    # at benchmark scale: the inverse z/c of z modulo z^2 - c has 6000-bit
+    # coefficients
+    m = Z ** 2 - ExactPoly.constant(F(3 ** 3800, 2 ** 6000 + 1))
+    inv = invert_mod(Z, m)
+    assert ((inv * Z - 1) % m).is_zero
+    # a shared factor with large coefficients is diagnosed, not inverted
+    c = F(3 ** 200, 2 ** 301)
+    with pytest.raises(NotCoprime):
+        invert_mod((Z - c) * (Z + 1), (Z - c) * (Z ** 2 + 2))
 
 
 def test_squarefree_factorization_yun():
