@@ -15,6 +15,13 @@ antisymmetry), and with it the charge-weighted quantity
     H = sum_i Q_i v_i**2 - sum_{i<j} Q_i Q_j (Q_i + Q_j) / (z_i - z_j)**2
 
 is exactly conserved along the flow.
+
+Every pairwise quantity here is read off one matrix, 1/(z_i - z_j) with a
+zero diagonal, built from the positions.  `integrate` builds it once per
+Runge-Kutta stage and gets the velocities from it by one product with the
+charges; the last stage sits at the step's end point, so an accepted step
+takes H and its collision test from that stage's matrix and velocities
+without building another.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from .generators import BracketParams, bracket
 from .numerics import (
     COLLISION_FACTOR,
     ChargeSystem,
-    _off_diag,
+    _inverse_differences,
+    _nearest,
     _separated,
-    _velocities,
     closest_pair,
     to_floats,
 )
@@ -71,7 +78,7 @@ def vortex_rhs(system: ChargeSystem) -> list[complex]:
     """Velocity of every root under the flow; zero exactly at equilibria of
     the field-free energy (the force of `numerics` divided by Q_i at k=0)."""
     zs, qs = _separated(system)
-    return [complex(v) for v in _velocities(zs, qs)]
+    return (_inverse_differences(zs) @ qs).tolist()
 
 
 @dataclass
@@ -102,7 +109,7 @@ class Trajectory:
         return drift, drift / (1.0 + abs(h0))
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row is the fifth-order solution (FSAL)
 _DP_A = (
     (),
     (1 / 5,),
@@ -112,7 +119,6 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_ERR = (
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
@@ -127,66 +133,62 @@ def integrate(
 ) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the root flow to t_end.
 
-    Per-component error control with a PI step controller; every accepted
-    step records positions, velocities and the conserved quantity.  Raises
-    CollisionDetected (with time, pair and the partial trajectory) when two
-    charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame.
+    Per-component error control with a PI step controller.  Each stage builds
+    one inverse-difference matrix 1/(z_i - z_j), and the velocities are its
+    product with the charges.  The last stage sits at the step's end point,
+    so an accepted step reuses its matrix and velocities to record the sample
+    and the conserved quantity and to test for a collision (the closest pair
+    is the largest entry).  Raises CollisionDetected (with time, pair and the
+    partial trajectory) when two charges meet, StepSizeUnderflow when the
+    controller collapses without a nearby pair to blame.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     qs = np.asarray(system.charges, dtype=float)
     zs = np.asarray(system.positions, dtype=complex)
-    k_field = system.field
-    diam = system.diameter()
     traj = Trajectory()
+    # the initial points may coincide, so this test runs before any reciprocal
+    dist, pair, diam = closest_pair(zs)
+    if dist <= COLLISION_FACTOR * diam:
+        raise CollisionDetected(0.0, pair, traj)
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return _rhs_scale * _velocities(y, qs)
+    def record(t: float, y: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+        snap = ChargeSystem(y.tolist(), qs.tolist(), field=system.field)
+        traj.samples.append(TrajectorySample(t, snap, v.tolist(), _invariant(w, qs, v)))
 
-    def record(t: float, y: np.ndarray, v: np.ndarray) -> None:
-        snap = ChargeSystem([complex(z) for z in y], list(qs), field=k_field)
-        traj.samples.append(
-            TrajectorySample(t, snap, [complex(x) for x in v], _invariant(y, qs)))
-
-    def check_separation(t: float, y: np.ndarray) -> None:
-        dist, pair = closest_pair(y)
-        if dist <= COLLISION_FACTOR * diam:
-            raise CollisionDetected(t, pair, traj)
-
-    check_separation(0.0, zs)
     t = 0.0
-    v = rhs(zs)
-    record(t, zs, v / _rhs_scale if _rhs_scale != 1.0 else v)
-    vmag = np.abs(v).max() if len(v) else 0.0
-    h = min(t_end, 0.01 * (1.0 + float(np.abs(zs).max(initial=0.0))) / (1.0 + float(vmag)))
+    w = _inverse_differences(zs)
+    k1 = _rhs_scale * (w @ qs)
+    record(t, zs, w, k1 / _rhs_scale)
+    vmag = float(np.abs(k1).max(initial=0.0))
+    h = min(t_end, 0.01 * (1.0 + float(np.abs(zs).max(initial=0.0))) / (1.0 + vmag))
     h_min = 1e-14 * max(t_end, 1.0)
     err_prev = 1.0
     safety, alpha, beta = 0.9, 0.17, 0.04
-    k1 = v
     while t < t_end:
         h = min(h, t_end - t)
         if h < h_min:
-            dist, pair = closest_pair(zs)
+            dist, pair = _nearest(w)
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
         ks = [k1]
         for row in _DP_A[1:]:
-            yi = zs + h * sum(a * k for a, k in zip(row, ks))
-            ks.append(rhs(yi))
-        y_new = zs + h * sum(b * k for b, k in zip(_DP_B5, ks))
+            y_new = zs + h * sum(a * k for a, k in zip(row, ks))
+            w_new = _inverse_differences(y_new)
+            ks.append(_rhs_scale * (w_new @ qs))
         err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
         sc = abs_tol + rel_tol * np.maximum(np.abs(zs), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / sc) ** 2))) if len(zs) else 0.0
         if err <= 1.0:
             t += h
-            zs = y_new
-            k1 = ks[-1]  # FSAL: last stage is the derivative at the new point
-            record(t, zs, k1 / _rhs_scale if _rhs_scale != 1.0 else k1)
+            zs, w, k1 = y_new, w_new, ks[-1]
+            record(t, zs, w, k1 / _rhs_scale)
             traj.steps_accepted += 1
             traj.max_error_estimate = max(traj.max_error_estimate, err)
-            check_separation(t, zs)
+            dist, pair = _nearest(w)
+            if dist <= COLLISION_FACTOR * diam:
+                raise CollisionDetected(t, pair, traj)
             fac = safety * max(err, 1e-10) ** -alpha * err_prev ** beta
             h *= min(5.0, max(0.2, fac))
             err_prev = max(err, 1e-10)
@@ -196,17 +198,17 @@ def integrate(
     return traj
 
 
-def _invariant(zs: np.ndarray, qs: np.ndarray) -> complex:
-    v = _velocities(zs, qs)
-    kinetic = (qs * v * v).sum()
-    pair = qs[:, None] * qs[None, :] * (qs[:, None] + qs[None, :]) / _off_diag(zs) ** 2
-    np.fill_diagonal(pair, 0.0)
-    return complex(kinetic - 0.5 * pair.sum())
+def _invariant(w: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
+    """H from the inverse-difference matrix w and the velocities v; half the
+    pair sum is sum_ij Q_i**2 Q_j w_ij**2, as w_ij**2 is symmetric."""
+    return complex(qs @ (v * v) - (qs * qs) @ ((w * w) @ qs))
 
 
 def conserved_quantity(system: ChargeSystem) -> complex:
     """The charge-weighted invariant H of the flow (see module docstring)."""
-    return _invariant(*_separated(system))
+    zs, qs = _separated(system)
+    w = _inverse_differences(zs)
+    return _invariant(w, qs, w @ qs)
 
 
 def acceleration_residual(system: ChargeSystem) -> float:
@@ -217,13 +219,11 @@ def acceleration_residual(system: ChargeSystem) -> float:
     not just along trajectories.
     """
     zs, qs = _separated(system)
-    v = _velocities(zs, qs)
-    diff = _off_diag(zs)
-    chain_terms = (qs[None, :] * (v[:, None] - v[None, :])) / diff ** 2
-    closed_terms = (qs[None, :] * (qs[:, None] + qs[None, :])) / diff ** 3
-    np.fill_diagonal(chain_terms, 0.0)
-    np.fill_diagonal(closed_terms, 0.0)
-    return float(np.abs(chain_terms.sum(axis=1) - closed_terms.sum(axis=1)).max(initial=0.0))
+    w = _inverse_differences(zs)
+    v = w @ qs
+    # Q_j w_ij**2 ((v_i - v_j) - (Q_i + Q_j) w_ij): chain rule minus closed law
+    terms = (v[:, None] - v[None, :] - (qs[:, None] + qs[None, :]) * w) * (w * w)
+    return float(np.abs(terms @ qs).max(initial=0.0))
 
 
 def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:

@@ -68,12 +68,6 @@ class ChargeSystem:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def diameter(self) -> float:
-        if len(self.positions) < 2:
-            return 1.0
-        zs = np.asarray(self.positions)
-        return float(np.abs(zs[:, None] - zs[None, :]).max())
-
     def to_json(self) -> dict:
         return {
             "positions": [[z.real, z.imag] for z in self.positions],
@@ -123,37 +117,45 @@ def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _off_diag(zs: np.ndarray) -> np.ndarray:
-    """Pairwise differences with the (singular) diagonal replaced by 1."""
+def _inverse_differences(zs: np.ndarray) -> np.ndarray:
+    """The matrix 1/(z_i - z_j) with a zero diagonal, whose product with the
+    charges is the velocities sum_{j != i} Q_j / (z_i - z_j).  The caller has
+    checked that no two points coincide (their reciprocal is inf+nanj)."""
     diff = zs[:, None] - zs[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return diff
+    diff.reshape(-1)[:: len(zs) + 1] = np.inf  # whose reciprocal is 0
+    return np.reciprocal(diff, out=diff)
 
 
-def _velocities(zs: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """sum_{j != i} Q_j / (z_i - z_j) for every i; no collision check."""
-    terms = qs[None, :] / _off_diag(zs)
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
-def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """Smallest distance between two of the points zs and the pair (i, j)
-    attaining it; (inf, None) for fewer than two points."""
-    if len(zs) < 2:
-        return np.inf, None
+def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
+    """Smallest distance between two of the points zs, the pair (i, j)
+    attaining it and the largest distance (the diameter), all from one
+    distance matrix; (inf, None, 1.0) for fewer than two points."""
+    n = len(zs)
+    if n < 2:
+        return np.inf, None, 1.0
     dist = np.abs(zs[:, None] - zs[None, :])
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(int(dist.argmin()), dist.shape)
-    return float(dist.min()), (int(i), int(j))
+    diameter = float(dist.max())
+    dist.reshape(-1)[:: n + 1] = np.inf
+    k = int(dist.argmin())
+    return float(dist.flat[k]), divmod(k, n), diameter
+
+
+def _nearest(w: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """Smallest distance and closest pair of the points whose
+    `_inverse_differences` matrix is w: its largest |entry|, inverted."""
+    if len(w) < 2:
+        return np.inf, None
+    mag = np.abs(w)
+    k = int(mag.argmax())
+    return 1.0 / float(mag.flat[k]), divmod(k, len(w))
 
 
 def _separated(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
     """Positions and charges of system as arrays.  Raises CollisionError when
     two charges sit within COLLISION_FACTOR times the system's diameter."""
     zs = np.asarray(system.positions, dtype=complex)
-    dist, pair = closest_pair(zs)
-    if dist <= COLLISION_FACTOR * system.diameter():
+    dist, pair, diameter = closest_pair(zs)
+    if dist <= COLLISION_FACTOR * diameter:
         raise CollisionError(f"charges {pair[0]} and {pair[1]} within {dist:.3e}")
     return zs, np.asarray(system.charges, dtype=float)
 
@@ -216,7 +218,7 @@ def force(system: ChargeSystem) -> list[complex]:
     logarithmic pair energy (plus linear field term).
     """
     zs, qs = _separated(system)
-    f = qs * (system.field + _velocities(zs, qs))
+    f = qs * (system.field + _inverse_differences(zs) @ qs)
     return [complex(v) for v in f]
 
 

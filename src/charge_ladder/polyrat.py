@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -188,10 +190,10 @@ class ExactPoly:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if d == 0:
-                body = str(mag)
+                body = _rational_str(mag)
             else:
                 var = "z" if d == 1 else f"z^{d}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{_rational_str(mag)}*{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 
@@ -330,13 +332,36 @@ class ExactPoly:
 
     def to_json(self) -> dict:
         """Shared wire format: {"var": "z", "coeffs": [rational strings]}."""
-        return {"var": "z", "coeffs": [str(c) for c in self.coeffs]}
+        return {"var": "z", "coeffs": [_rational_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ExactPoly":
         if not isinstance(obj, Mapping) or "coeffs" not in obj:
             raise ValueError("polynomial JSON must be an object with a 'coeffs' array")
-        return cls(tuple(Fraction(c) for c in obj["coeffs"]))
+        return cls(tuple(_parse_rational(c) for c in obj["coeffs"]))
+
+
+# Decimal converts between int and digit strings without the interpreter's
+# int/str digit limit (4300 digits by default), which exact coefficients pass.
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*\Z")
+
+
+def _rational_str(c: Fraction) -> str:
+    """str(c) for a coefficient of any size."""
+    num = str(Decimal(c.numerator))
+    return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+
+def _parse_rational(text) -> Fraction:
+    """Fraction(text) for an "n" or "n/d" string of any size; any other value
+    goes to Fraction as it is.  Raises ValueError on a zero denominator."""
+    match = _RATIONAL.match(text) if isinstance(text, str) else None
+    if match is None:
+        return Fraction(text)
+    num, den = (int(Decimal(g)) for g in match.groups("1"))
+    if not den:
+        raise ValueError("coefficient with a zero denominator")
+    return Fraction(num, den)
 
 
 def exact_div(num: ExactPoly, den: ExactPoly) -> ExactPoly:

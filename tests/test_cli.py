@@ -5,6 +5,7 @@ import pytest
 
 from charge_ladder import cli
 from charge_ladder.cli import main
+from charge_ladder.generators import BracketParams, bracket
 from charge_ladder.numerics import MultipleRootWarning
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
 
@@ -61,6 +62,27 @@ def test_generated_polynomials_round_trip(capsys):
     for key in ("p", "q"):
         poly = ExactPoly.from_json(blob[key])
         assert ExactPoly.from_json(json.loads(json.dumps(poly.to_json()))) == poly
+
+
+def test_huge_coefficients_round_trip_through_files(tmp_path, capsys):
+    # 3^11000 has 5249 digits, past the interpreter's 4300-digit int/str
+    # limit, on the way in and on the way out
+    big = F(3 ** 11000, 7)
+    p = Z ** 2 + big * Z - 1
+    q = Z + F(1, 2)
+    code, out, _ = run(capsys, "bracket", write_poly(tmp_path, "p.json", p),
+                       write_poly(tmp_path, "q.json", q), "--lam", "1")
+    assert code == 1
+    assert ExactPoly.from_json(json.loads(out)["bracket"]) == bracket(p, q, BracketParams(1))
+
+
+@pytest.mark.parametrize("coeff", ["1//2", "abc", "", "1/2/3", "0x10", "1/0", "1" * 5000 + "x"])
+def test_malformed_coefficient_exits_2(tmp_path, capsys, coeff):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"var": "z", "coeffs": ["1", coeff, "1"]}))
+    code, _, err = run(capsys, "bracket", str(path), write_poly(tmp_path, "q.json", Z), "--lam", "1")
+    assert code == 2
+    assert "cannot read polynomial" in err
 
 
 def test_generate_malformed_rational_exits_2(capsys):

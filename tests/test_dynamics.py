@@ -12,7 +12,7 @@ from charge_ladder.dynamics import (
     vortex_rhs,
 )
 from charge_ladder.generators import lambda2_ladder
-from charge_ladder.numerics import ChargeSystem, CollisionError, roots
+from charge_ladder.numerics import ChargeSystem, CollisionError, closest_pair, force, roots
 from charge_ladder.polyrat import ExactPoly
 
 Z = ExactPoly.x()
@@ -64,6 +64,36 @@ def test_vortex_vanishes_for_all_certified_pairs(ladder_chain, adler_moser_chain
         assert max(abs(v) for v in vortex_rhs(system)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+def test_pairwise_quantities_match_double_loop(n):
+    # Reference: every pair term by plain Python complex arithmetic.  The
+    # array code sums in another order, so each quantity may differ by a few
+    # n * eps of the sum of its terms' magnitudes; 1e-12 of it is the bound.
+    rng = random.Random(n)
+    system = random_separated_config(rng, n, 2.0, box=2.0 * (n / 8) ** 0.5)
+    zs, qs = system.positions, system.charges
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    v = [sum(qs[j] / (zs[i] - zs[j]) for j in range(n) if j != i) for i in range(n)]
+    v_scale = [sum(abs(qs[j] / (zs[i] - zs[j])) for j in range(n) if j != i) for i in range(n)]
+    for got, want, scale in zip(vortex_rhs(system), v, v_scale):
+        assert abs(got - want) <= 1e-12 * scale
+    for k in (0.0, 0.7 - 1.3j):
+        shifted = ChargeSystem(zs, qs, field=k)
+        for got, q, want, scale in zip(force(shifted), qs, v, v_scale):
+            assert abs(got - q * (k + want)) <= 1e-12 * abs(q) * (abs(k) + scale)
+    pair_terms = [qs[i] * qs[j] * (qs[i] + qs[j]) / (zs[i] - zs[j]) ** 2 for i, j in pairs]
+    h = sum(q * u * u for q, u in zip(qs, v)) - 0.5 * sum(pair_terms)
+    h_scale = sum(abs(q * u * u) for q, u in zip(qs, v)) + sum(abs(t) for t in pair_terms)
+    assert abs(conserved_quantity(system) - h) <= 1e-12 * h_scale
+    accel, accel_scale = [0j] * n, [0.0] * n
+    for i, j in pairs:
+        d = zs[i] - zs[j]
+        chain, closed = qs[j] * (v[i] - v[j]) / d ** 2, qs[j] * (qs[i] + qs[j]) / d ** 3
+        accel[i] += chain - closed
+        accel_scale[i] += abs(chain) + abs(closed)
+    assert abs(acceleration_residual(system) - max(abs(a) for a in accel)) <= 1e-12 * max(accel_scale)
+
+
 @pytest.mark.parametrize("evaluate", [vortex_rhs, conserved_quantity, acceleration_residual])
 def test_vortex_collision_error(evaluate):
     with pytest.raises(CollisionError, match="charges 0 and 1 within"):
@@ -102,6 +132,16 @@ def test_attracting_pair_collides_in_finite_time():
     assert info.value.time == 0.0
     assert info.value.pair == (1, 2)
     assert not info.value.trajectory.samples
+    # mid-run: a far charge puts the collision distance (COLLISION_FACTOR times
+    # the diameter) near 100, so the test after an accepted step catches the
+    # pair (g^2 = 40000 - 2t) and reports the closest pair of the last sample
+    with pytest.raises(CollisionDetected) as info:
+        integrate(ChargeSystem([1e12 + 0j, 100 + 0j, -100 + 0j], [1.0, 1.0, -2.0]), 19000.0)
+    final = info.value.trajectory.final
+    gap, pair, _ = closest_pair(np.array(final.system.positions))
+    assert info.value.time == final.t and 15000.0 < final.t < 15200.0
+    assert info.value.pair == pair == (1, 2)
+    assert 90.0 < gap < 100.01
 
 
 def test_flow_consistency_restart():
@@ -195,6 +235,9 @@ def test_invariant_conserved_along_random_runs():
             continue
         _, rel = traj.invariant_drift()
         assert rel < 1e-8
+        for sample in traj.samples:
+            expect = conserved_quantity(sample.system)
+            assert abs(sample.invariant - expect) <= 1e-12 * abs(expect)
         completed += 1
     assert completed == 20
 
