@@ -16,12 +16,10 @@ antisymmetry), and with it the charge-weighted quantity
 
 is exactly conserved along the flow.
 
-Every pairwise quantity here is read off one matrix, 1/(z_i - z_j) with a
-zero diagonal, built from the positions.  `integrate` builds it once per
-Runge-Kutta stage and gets the velocities from it by one product with the
-charges; the last stage sits at the step's end point, so an accepted step
-takes H and its collision test from that stage's matrix and velocities
-without building another.
+Every pairwise term comes from one matrix, 1/(z_i - z_j) with a zero
+diagonal.  `integrate` builds it once per Runge-Kutta stage, where the
+velocities are its product with the charges; an accepted step takes H and
+its collision test from the last stage's matrix and velocities.
 """
 
 from __future__ import annotations
@@ -134,13 +132,12 @@ def integrate(
     """Adaptive embedded Runge-Kutta integration of the root flow to t_end.
 
     Per-component error control with a PI step controller.  Each stage builds
-    one inverse-difference matrix 1/(z_i - z_j), and the velocities are its
-    product with the charges.  The last stage sits at the step's end point,
-    so an accepted step reuses its matrix and velocities to record the sample
-    and the conserved quantity and to test for a collision (the closest pair
-    is the largest entry).  Raises CollisionDetected (with time, pair and the
-    partial trajectory) when two charges meet, StepSizeUnderflow when the
-    controller collapses without a nearby pair to blame.
+    one matrix 1/(z_i - z_j); the last stage sits at the step's end point, so
+    an accepted step records H and tests for a collision (the largest entry
+    is the closest pair) from its matrix and velocities.  Raises
+    CollisionDetected (with time, pair and the partial trajectory) when two
+    charges meet, StepSizeUnderflow when the controller collapses without a
+    nearby pair to blame.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
