@@ -17,12 +17,10 @@ from typing import Mapping, Sequence
 from .polyrat import (
     ExactPoly,
     InvariantViolation,
-    NotSquarefree,
     RationalLike,
     as_fraction,
-    exact_div,
     hermite_reduce,
-    integrate_rational,
+    polynomial_solution,
     require_squarefree_coprime,
     wronskian,
 )
@@ -121,21 +119,17 @@ def _ladder_step(den: ExactPoly, coef: int, num: ExactPoly, constant: Fraction,
                  what: str) -> ExactPoly:
     """One first-order recurrence step: den * (coef * I(num/den^2) + constant).
 
-    The antiderivative must come out free of logarithms; a logarithmic
-    obstruction would contradict the closure of the family and is reported as
-    an internal invariant failure.  A squarefree den goes through Hermite
-    reduction; the others take the general route: theta_2 = z^3 when t_2 = 0,
-    and the pure powers of z that zero ladder constants give.
+    r = den * I(num/den^2) is a polynomial solution of den*r' - den'*r = num,
+    one top-down solve that needs no squarefree den, so theta_2 = z^3 (t_2 = 0)
+    and the pure powers of z of zero ladder constants take the same route.  r
+    is normalised as den * (P + C/den) with P(0) = 0 and deg C < deg den.  No
+    solution means a logarithmic term, which would contradict the closure of
+    the family and is reported as an internal invariant failure.
     """
-    try:
-        red = hermite_reduce(num, den)
-        rational = red.rational_part_numerator
-    except NotSquarefree:
-        red = integrate_rational(num, den * den)
-        rational = red.rational_numerator * exact_div(den, red.rational_denominator)
-    if not red.log_free:
+    r = polynomial_solution((-den.derivative(), den), num)
+    if r is None:
         raise InvariantViolation(f"logarithmic term encountered while generating {what}")
-    return coef * (red.poly_antideriv * den + rational) + constant * den
+    return coef * (r - (r // den).coeff(0) * den) + constant * den
 
 
 def adler_moser(n: int, constants=None) -> ExactPoly:

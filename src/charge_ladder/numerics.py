@@ -265,8 +265,7 @@ def verify_equilibrium(
     deg_p = int(p.degree)
     residuals: list[float] = []
     for poly, zs in ((p, system.positions[:deg_p]), (q, system.positions[deg_p:])):
-        cf = to_floats(poly)
-        residuals += [float(abs(_horner(cf, np.array([z], dtype=complex))[0])) for z in zs]
+        residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
     forces = force(system)
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(

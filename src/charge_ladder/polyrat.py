@@ -5,11 +5,15 @@ denominator, in ascending degree order with trailing zeros stripped and in
 lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
 run by Kronecker substitution and modular inverses by Newton lifting, both on
-Python integers.  On top of the ring operations the module provides the two
+Python integers.  On top of the ring operations the module provides the
 symbolic primitives everything else is built on:
 
-* log-free reduction of integrals of the form N/p**2 (``hermite_reduce``,
-  plus the fully general ``integrate_rational`` for arbitrary denominators),
+* polynomial solutions of linear ODEs with polynomial coefficients by one
+  top-down back-substitution (``polynomial_solution``): every ladder step,
+  the field solve and each log-free integral of N/p**2 is one,
+* reduction of integrals of the form N/p**2 (``hermite_reduce``, whose
+  modular inverse only writes out a log obstruction, plus the fully general
+  ``integrate_rational`` for arbitrary denominators),
 * the residue-divisibility criterion linking vanishing residues of
   q**(2*lam)/p**2 to a polynomial divisibility test.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -43,6 +48,7 @@ __all__ = [
     "integrate_rational",
     "invert_mod",
     "is_squarefree",
+    "polynomial_solution",
     "require_squarefree_coprime",
     "residue_divisibility",
     "squarefree_factorization",
@@ -413,6 +419,52 @@ def _kmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for i in range(0, width * slots, width)]
 
 
+def polynomial_solution(ops: Sequence[ExactPoly], rhs: ExactPoly) -> ExactPoly | None:
+    """The polynomial r with sum_k ops[k] * r^(k) = rhs, deg r <= deg rhs - s
+    and r_j = 0 wherever f(j) = 0, or None when there is none.
+
+    With s = max(deg ops[k] - k), r_j first reaches row j + s of the system,
+    with the scalar pivot f(j) = sum_k lead_k * j!/(j-k)!, lead_k the
+    coefficient of z^(s+k) in ops[k].  So the rows are solved top down by
+    back-substitution (Abramov, 1989) on integer vectors over one denominator,
+    which grows only when a quotient is not integral.  Setting r_j = 0 where
+    f(j) = 0 loses no solution when z^j leads a homogeneous solution (r = den
+    of den*r' - den'*r = num); that row and the rows under the band are
+    consistency checks, settled by the exact residual.
+    """
+    # scale * ops[k] = ints[k] and scale * rhs = b / rhs._den: solve for rhs._den * r
+    scale = math.lcm(*(a._den for a in ops))
+    ints = [[c * (scale // a._den) for c in a._num] for a in ops]
+    b = [c * scale for c in rhs._num]
+    s = max(len(a) - 1 - k for k, a in enumerate(ints) if a)
+    lead = [a[s + k] if 0 <= s + k < len(a) else 0 for k, a in enumerate(ints)]
+    n = len(b) - 1 - s  # degree of r: its top row is the top row of rhs
+    # derivs[k][l] = den * (l+k)!/l! * r_(l+k): r^(k) over den, zero until found
+    derivs = [[0] * max(n + 1 - k, 0) for k in range(len(ints))]
+    den = 1
+    for j in range(n, -1, -1):
+        t = j + s
+        total = den * b[t] if t >= 0 else 0
+        for k, (a, d) in enumerate(zip(ints, derivs)):
+            # row t of ops[k] * r^(k), over the entries l > j - k found so far
+            lo, hi = max(t + 1 - len(a), j + 1 - k, 0), min(t + 1, len(d))
+            total -= sum(map(operator.mul, a[t + 1 - hi:t + 1 - lo][::-1], d[lo:hi]))
+        pivot = sum(c * math.perm(j, k) for k, c in enumerate(lead))
+        if not pivot:
+            if total:
+                return None
+            continue
+        g = abs(pivot) // math.gcd(total, pivot)
+        if g > 1:
+            den, total = den * g, total * g
+            derivs = [[c * g for c in d] for d in derivs]
+        rj = total // pivot
+        for k, d in enumerate(derivs[:j + 1]):
+            d[j - k] = rj * math.perm(j, k)
+    r = ExactPoly._ints(derivs[0], den * rhs._den)
+    return None if sum((a * r.derivative(k) for k, a in enumerate(ops)), -rhs) else r
+
+
 def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Division of integer vectors without fractions, len(a) >= len(b).
 
@@ -560,14 +612,14 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
 
 # -- modular inverse by Newton lifting -----------------------------------------
 #
-# Inverses modulo large polynomials with bulky rational coefficients are the
-# single hot operation of the whole package (every Hermite reduction needs
-# one).  Plain extended Euclid over Q suffers severe intermediate blowup, so
-# the inverse is computed mod one word-size prime, lifted p-adically by Newton
-# steps that double the precision, read back as rationals over one common
-# denominator, and finally *verified exactly* (von zur Gathen & Gerhard,
-# Modern Computer Algebra, 5.10 and 9); the exact Euclidean route remains as
-# a fallback.
+# An obstructed Hermite reduction needs an inverse modulo a large polynomial
+# with bulky rational coefficients (log-free integrals are polynomial
+# solutions and need none).  Plain extended Euclid over Q suffers severe
+# intermediate blowup, so the inverse is computed mod one word-size prime,
+# lifted p-adically by Newton steps that double the precision, read back as
+# rationals over one common denominator, and finally *verified exactly* (von
+# zur Gathen & Gerhard, Modern Computer Algebra, 5.10 and 9); the exact
+# Euclidean route remains as a fallback.
 
 _LIFT_BITS = 1 << 18  # past this precision the exact fallback takes over
 
@@ -789,19 +841,22 @@ class RationalIntegral:
 def hermite_reduce(num: ExactPoly, p: ExactPoly) -> ReductionResult:
     """Reduce the integral of num/p**2 with p squarefree.
 
-    Splits num/p**2 = S + R/p**2 by division, solves C = -R * (p')^{-1} (mod p)
-    so that (C/p)' matches the proper part up to a simple-pole remainder, and
-    returns that remainder's numerator B; B = 0 certifies a log-free integral.
+    The integral is P + C/p, B = 0, exactly when r = P*p + C is a polynomial
+    solution of p*r' - p'*r = num; normalised by P(0) = 0, deg C < deg p.
+    Otherwise it splits num/p**2 = S + R/p**2 by division, solves
+    C = -R * (p')^{-1} (mod p) so that (C/p)' matches the proper part up to a
+    simple-pole remainder, and returns that remainder's numerator B.
     """
     if p.is_zero:
         raise DivisionByZero("denominator polynomial is zero")
-    if p.degree == 0:
-        scale = p.lead * p.lead
-        return ReductionResult((num / scale).antiderivative(), ExactPoly.zero(), ExactPoly.zero())
     if not is_squarefree(p):
         raise NotSquarefree("hermite_reduce requires a squarefree denominator base")
-    poly_part, rem = divmod(num, p * p)
     dp = p.derivative()
+    r = polynomial_solution((-dp, p), num)
+    if r is not None:
+        poly_part, c = divmod(r, p)
+        return ReductionResult(poly_part - poly_part.coeff(0), c, ExactPoly.zero())
+    poly_part, rem = divmod(num, p * p)
     c = (-rem * invert_mod(dp % p, p)) % p
     b = exact_div(rem - c.derivative() * p + c * dp, p)
     return ReductionResult(poly_part.antiderivative(), c, b)

@@ -1,18 +1,18 @@
 """External-field machinery: field pairs, Wronskian eigenfunction data and the
-exact linear solver for the field equation.
+exact solve of the field equation.
 
 With a homogeneous field k the balance condition picks up the first-order term
 2k(p'q - lam*q'p).  For charge ratio 1 the solving pair comes from a Wronskian
 with an exponential column; for charge ratio 2 no closed construction is
-known, but for a given q the condition is linear in p and can be decided by
-exact Gaussian elimination.
+known, but for a given q the condition is a linear ODE in p whose polynomial
+solution is decided by back-substitution (``polyrat.polynomial_solution``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .generators import BracketParams, bracket, psi_chain
 from .polyrat import (
@@ -23,6 +23,7 @@ from .polyrat import (
     as_fraction,
     det_poly_matrix,
     is_squarefree,
+    polynomial_solution,
 )
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "bilinear_field_check",
     "find_parameter_weight",
     "scale_substitute",
-    "solve_linear_exact",
     "solve_p_given_q",
 ]
 
@@ -115,49 +115,6 @@ def scale_substitute(pair: FieldPair, new_k: RationalLike) -> FieldPair:
     return FieldPair(pair.p.compose_linear(ratio), pair.q.compose_linear(ratio), new_k, pair.lam)
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra
-# ---------------------------------------------------------------------------
-
-
-def solve_linear_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[str, list[Fraction] | None, int, int]:
-    """Gaussian elimination over Q with full rank bookkeeping.
-
-    Returns (status, solution, rank, free_count) where status is "solved" or
-    "incompatible".  With free columns the particular solution sets them to 0.
-    """
-    m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    n_rows = len(m)
-    n_cols = len(rows[0]) if n_rows else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        scale = m[r][c]
-        m[r] = [v / scale for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [v - factor * w for v, w in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    rank = len(pivot_cols)
-    for i in range(rank, n_rows):
-        if m[i][n_cols] != 0:
-            return "incompatible", None, rank, 0
-    solution = [Fraction(0)] * n_cols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = m[i][n_cols]
-    return "solved", solution, rank, n_cols - rank
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Result of solving the field equation for p given q."""
@@ -181,12 +138,14 @@ class SolveReport:
 
 
 def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) -> SolveReport:
-    """Solve the field balance equation for monic p of degree lam*deg(q).
+    """Solve the field balance equation for monic p of degree n = lam*deg(q).
 
-    The bracket with field is linear in p, so fixing p monic of the
-    zero-total-charge degree turns coefficientwise vanishing into an exact
-    linear system; the rank test decides unique / underdetermined / no
-    solution, and an incompatible answer is definitive for this (q, k).
+    The bracket with field is the linear operator
+    q*p'' + 2(k*q - lam*q')*p' + (lam^2*q'' - 2k*lam*q')*p on p, whose pivot
+    2k*(j - lam*deg q) on the coefficient p_j vanishes only at j = n.  With
+    p_n = 1 moved to the right-hand side, polynomial_solution fixes p_0..p_{n-1}
+    by back-substitution, so the rank is always n; a nonzero residual is
+    definitive: no monic p of degree n balances this (q, k).
     """
     lam, k = as_fraction(lam), as_fraction(k)
     if k == 0:
@@ -195,30 +154,21 @@ def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) ->
         raise ValueError("q must be monic")
     if not is_squarefree(q):
         raise NotSquarefree("q must be squarefree")
-    m = int(q.degree)
-    n_frac = lam * m
+    n_frac = lam * int(q.degree)
     if n_frac.denominator != 1:
         raise ValueError(f"charge balance needs integral degree lam*deg(q), got {n_frac}")
     n = int(n_frac)
     params = BracketParams(lam, k)
-
-    def operator(f: ExactPoly) -> ExactPoly:
-        return bracket(f, q, params)
-
-    rhs_poly = operator(ExactPoly.monomial(n))
-    col_polys = [operator(ExactPoly.monomial(j)) for j in range(n)]
-    n_rows = n + m - 1  # coefficient slots 0 .. n+m-2; the top slot cancels by degree choice
-    if rhs_poly.degree >= n_rows or any(cp.degree >= n_rows for cp in col_polys):
-        raise InvariantViolation("field bracket exceeded its degree bound")
-    rows = [[col_polys[j].coeff(d) for j in range(n)] for d in range(n_rows)]
-    rhs = [-rhs_poly.coeff(d) for d in range(n_rows)]
-    status, solution, rank, free = solve_linear_exact(rows, rhs)
-    if status != "solved":
-        return SolveReport("incompatible", None, rank, 0)
-    p = ExactPoly(list(solution) + [Fraction(1)])
+    dq = q.derivative()
+    ops = (lam * lam * q.derivative(2) - 2 * k * lam * dq, 2 * k * q - 2 * lam * dq, q)
+    top = ExactPoly.monomial(n)
+    rest = polynomial_solution(ops, -bracket(top, q, params))
+    if rest is None:
+        return SolveReport("incompatible", None, n, 0)
+    p = top + rest
     if not bracket(p, q, params).is_zero:
         raise InvariantViolation("solver produced a p that fails the bracket")
-    return SolveReport("solved", FieldPair(p, q, k, lam), rank, free)
+    return SolveReport("solved", FieldPair(p, q, k, lam), n, 0)
 
 
 # ---------------------------------------------------------------------------

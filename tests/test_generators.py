@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +16,16 @@ from charge_ladder.generators import (
     lambda2_ladder,
     psi_chain,
 )
-from charge_ladder.polyrat import ExactPoly, NotCoprime, NotSquarefree, gcd_poly, is_squarefree
-from conftest import nonzero_rational, rational
+from charge_ladder.polyrat import (
+    ExactPoly,
+    NotCoprime,
+    NotSquarefree,
+    exact_div,
+    gcd_poly,
+    integrate_rational,
+    is_squarefree,
+)
+from conftest import nonzero_rational, random_ladder_state, rational
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
@@ -225,6 +234,50 @@ def test_ladder_pairs_squarefree_coprime(ladder_chain):
         p, q = ladder_chain[i]
         assert is_squarefree(p) and is_squarefree(q)
         assert gcd_poly(p, q).degree == 0
+
+
+def reference_step(den, coef, num, constant):
+    """den * (coef * I(num/den^2) + constant) through the general rational
+    integration, with I = P + C/den normalised by P(0) = 0, deg C < deg den."""
+    red = integrate_rational(num, den * den)
+    assert red.log_free
+    rational = red.rational_numerator * exact_div(den, red.rational_denominator)
+    return coef * (red.poly_antideriv * den + rational) + constant * den
+
+
+def test_ladder_steps_match_general_integration():
+    # every step's integration constant sits where the recurrences put it,
+    # including steps whose denominator is not centred (tau_1 != 0)
+    rng = random.Random(77)
+    for i in (3, -3):
+        state = LadderState(i, {s: nonzero_rational(rng) for s in range(-4, 5)},
+                            {s: nonzero_rational(rng) for s in range(-4, 5)})
+        p, q = ONE, ONE
+        for j in range(1, i + 1):
+            q = reference_step(q, 3 * j - 2, p, state.tau_at(j))
+            p = reference_step(p, 6 * j - 1, q ** 4, state.t_at(j))
+        for j in range(0, i, -1):
+            p_new = reference_step(p, 1 - 6 * j, q ** 4, state.t_at(j - 1))
+            q = reference_step(q, 2 - 3 * j, p_new, state.tau_at(j - 1))
+            p = p_new
+        assert lambda2_ladder(i, state) == (p, q)
+    constants = {m: nonzero_rational(rng) for m in range(2, 7)}
+    prev, cur = ONE, Z
+    for m in range(1, 6):
+        prev, cur = cur, reference_step(prev, 2 * m + 1, cur * cur, constants[m + 1])
+    assert adler_moser(6, constants) == cur
+
+
+def test_ladder_reach_six_in_time():
+    # the pairs i = 6 (degrees 120, 51) and i = -6 (96, 57) are generated and
+    # certified rational well within 10 s: a regression gate on the exact steps
+    rng = random.Random(6)
+    start = time.perf_counter()
+    for i in (6, -6):
+        p, q = lambda2_ladder(i, random_ladder_state(rng, i))
+        cert = certify_rational_integrals(p, q, 2)
+        assert cert.bracket_zero and cert.rational
+    assert time.perf_counter() - start < 10
 
 
 # -- admissible degrees -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from charge_ladder.polyrat import (
     integrate_rational,
     invert_mod,
     is_squarefree,
+    polynomial_solution,
     residue_divisibility,
     squarefree_factorization,
     wronskian,
@@ -293,6 +295,89 @@ def test_integrate_rational_randomized_identity():
         num = random_poly(rng, rng.randint(0, 8))
         den = random_poly(rng, rng.randint(1, 4)) * random_poly(rng, rng.randint(0, 2)) ** 2
         assert integral_identity_holds(num, den)
+
+
+# -- top-down polynomial solutions ---------------------------------------------------
+
+
+def wronskian_solution(num, den):
+    """The solution r of den*r' - den'*r = num, normalised like a ladder step:
+    r = P*den + C with P(0) = 0 and deg C < deg den; None if there is none."""
+    r = polynomial_solution((-den.derivative(), den), num)
+    return None if r is None else r - (r // den).coeff(0) * den
+
+
+def test_polynomial_solution_recovers_r_for_any_denominator():
+    rng = random.Random(53)
+    fixed = [Z ** 3, (Z - 1) ** 2 * (Z + 2), (Z ** 2 + 1) ** 3, ExactPoly.constant(F(-3, 7)), ONE]
+    dens = fixed + [random_poly(rng, rng.randint(1, 4)) * random_poly(rng, rng.randint(0, 2)) ** 2
+                    for _ in range(15)]
+    for den in dens:
+        for degree in (0, 1, rng.randint(2, 12), None):
+            r = ExactPoly.zero() if degree is None else random_poly(rng, degree)
+            found = wronskian_solution(den * r.derivative() - den.derivative() * r, den)
+            # r is recovered modulo den: up to a constant multiple of den
+            assert (found - r) % den == 0 and (found - r).degree <= den.degree
+            assert (found // den).coeff(0) == 0
+    assert wronskian_solution(3 * Z ** 2, ExactPoly.constant(F(2, 5))) == F(5, 2) * Z ** 3
+
+
+def test_polynomial_solution_obstructed_by_simple_poles():
+    # num/den^2 = (r/den)' + b/den: the kernel finds no solution and Hermite
+    # reduction writes out b as the log numerator
+    rng = random.Random(59)
+    done = 0
+    while done < 20:
+        den = random_poly(rng, rng.randint(1, 8))
+        if not is_squarefree(den):
+            continue
+        r = random_poly(rng, rng.randint(0, 10))
+        b = random_poly(rng, rng.randint(0, int(den.degree) - 1))
+        num = den * r.derivative() - den.derivative() * r + b * den
+        assert wronskian_solution(num, den) is None
+        assert hermite_reduce(num, den).log_numerator == b
+        done += 1
+    assert wronskian_solution(ONE, Z ** 2) is None  # 1/z^4 integrates to -1/(3z^3), not r/z^2
+
+
+def test_hermite_reduce_matches_inverse_route():
+    # the log-free branch (a polynomial solution) against the modular inverse
+    # route on random squarefree p, for log-free and generic numerators
+    rng = random.Random(61)
+    done = 0
+    while done < 30:
+        p = random_poly(rng, rng.randint(1, 10))
+        if not is_squarefree(p):
+            continue
+        r = random_poly(rng, rng.randint(0, 14))
+        dp = p.derivative()
+        for num in (p * r.derivative() - dp * r, random_poly(rng, rng.randint(0, 12))):
+            poly_part, rem = divmod(num, p * p)
+            c = (-rem * invert_mod(dp % p, p)) % p
+            b = exact_div(rem - c.derivative() * p + c * dp, p)
+            red = hermite_reduce(num, p)
+            assert (red.poly_antideriv, red.rational_part_numerator, red.log_numerator) == (
+                poly_part.antiderivative(), c, b)
+        done += 1
+
+
+def test_polynomial_solution_higher_order():
+    # r'' = 6z: the pivots j(j-1) vanish at j = 0, 1, which stay free (zero)
+    assert polynomial_solution((ExactPoly.zero(), ExactPoly.zero(), ONE), 6 * Z) == Z ** 3
+    # z*r' - 2r = z^2 has no polynomial solution (z^2 log z)
+    assert polynomial_solution((ExactPoly.constant(-2), Z), Z ** 2) is None
+    assert polynomial_solution((ExactPoly.constant(-2), Z), Z ** 3) == Z ** 3
+    # random operators of order 3: r is recovered exactly once its coefficients
+    # at the zeros of the pivot f(j) = sum_k lead_k * j!/(j-k)! are zero
+    rng = random.Random(67)
+    for _ in range(20):
+        ops = [random_poly(rng, rng.randint(0, 4)) for _ in range(4)]
+        s = max(int(op.degree) - k for k, op in enumerate(ops))
+        lead = [op.coeff(s + k) for k, op in enumerate(ops)]
+        free = {j for j in range(12) if not sum(c * math.perm(j, k) for k, c in enumerate(lead))}
+        r = ExactPoly([0 if j in free else c for j, c in enumerate(random_poly(rng, 11).coeffs)])
+        rhs = sum((op * r.derivative(k) for k, op in enumerate(ops)), ExactPoly.zero())
+        assert polynomial_solution(ops, rhs) == r
 
 
 # -- residue criterion ------------------------------------------------------------

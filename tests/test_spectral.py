@@ -12,7 +12,6 @@ from charge_ladder.spectral import (
     find_parameter_weight,
     is_weight_homogeneous,
     scale_substitute,
-    solve_linear_exact,
     solve_p_given_q,
 )
 
@@ -77,25 +76,64 @@ def test_field_check_detects_non_solution():
     assert not bilinear_field_check(FieldPair(Z, Z, 1, 1)).is_zero
 
 
-# -- exact linear solver -------------------------------------------------------------
+# -- dense reference for the field solve -----------------------------------------------
 
 
-def test_solve_linear_exact_unique():
-    status, sol, rank, free = solve_linear_exact(
-        [[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
-    assert status == "solved" and rank == 2 and free == 0
-    assert sol == [F(2), F(1)]
+def gauss_reference(q, lam, k):
+    """solve_p_given_q the long way: every coefficient of
+    bracket(z^n + sum_j x_j z^j, q) as one dense row in x_0..x_{n-1},
+    Gauss-Jordan over Fraction.  Returns (status, p, rank)."""
+    lam, k = F(lam), F(k)
+    n, m = int(lam * q.degree), int(q.degree)
+    cols = [bracket(ExactPoly.monomial(j), q, BracketParams(lam, k)) for j in range(n + 1)]
+    rows = [[cols[j].coeff(d) for j in range(n)] + [-cols[n].coeff(d)] for d in range(n + m + 1)]
+    pivots = []
+    for c in range(n):
+        top = len(pivots)
+        r = next((i for i in range(top, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        row = rows[top] = [v / rows[top][c] for v in rows[top]]
+        for i, other in enumerate(rows):
+            if i != top and other[c]:
+                rows[i] = [v - other[c] * w for v, w in zip(other, row)]
+        pivots.append(c)
+    if any(row[n] for row in rows[len(pivots):]):
+        return "incompatible", None, len(pivots)
+    x = [F(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return "solved", ExactPoly(x + [1]), len(pivots)
 
 
-def test_solve_linear_exact_incompatible():
-    status, sol, rank, free = solve_linear_exact(
-        [[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
-    assert status == "incompatible" and sol is None and rank == 1
+def assert_matches_reference(q, lam=2, k=1):
+    report = solve_p_given_q(q, lam, k)
+    status, p, rank = gauss_reference(q, lam, k)
+    assert (report.status, report.rank, report.free_parameters) == (status, rank, 0)
+    assert rank == lam * q.degree
+    assert (report.pair.p if report.pair else None) == p
+    return report
 
 
-def test_solve_linear_exact_underdetermined():
-    status, sol, rank, free = solve_linear_exact([[F(1), F(1)]], [F(2)])
-    assert status == "solved" and free == 1 and sol == [F(2), F(0)]
+def test_solve_matches_reference_on_exponential_column_pairs():
+    psi = [(F(1, 3), 1), (0, F(-2, 5)), (1, 1), (F(-1, 2), F(2, 3)), (2, F(1, 7))]
+    for n in range(2, 7):
+        for k in (F(1), F(3, 2)):
+            pair = ba_lambda1(n, k, psi)
+            report = assert_matches_reference(pair.q.monic(), 1, k)
+            assert report.solved and report.pair.p == pair.p.monic()
+
+
+def test_solve_matches_reference_on_q2_family():
+    for t in (-2, 0, F(1, 3), F(7, 3)):
+        assert assert_matches_reference(q2_family(t)).pair.p == paper_p2_formula(t)
+
+
+def test_solve_matches_reference_on_incompatible_q():
+    for q in (Z ** 2 + 1, Z ** 3 + Z ** 2 + Z, Z ** 3 - 2 * Z + 5):
+        assert assert_matches_reference(q).status == "incompatible"
+    assert assert_matches_reference(Z ** 2 + 1, 1, F(3, 2)).status == "incompatible"
 
 
 # -- field equation solver -------------------------------------------------------------
