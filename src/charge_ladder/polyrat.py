@@ -427,10 +427,11 @@ def polynomial_solution(ops: Sequence[ExactPoly], rhs: ExactPoly) -> ExactPoly |
     with the scalar pivot f(j) = sum_k lead_k * j!/(j-k)!, lead_k the
     coefficient of z^(s+k) in ops[k].  So the rows are solved top down by
     back-substitution (Abramov, 1989) on integer vectors over one denominator,
-    which grows only when a quotient is not integral.  Setting r_j = 0 where
-    f(j) = 0 loses no solution when z^j leads a homogeneous solution (r = den
-    of den*r' - den'*r = num); that row and the rows under the band are
-    consistency checks, settled by the exact residual.
+    which grows only when a quotient is not integral, so each such row holds
+    exactly.  Setting r_j = 0 where f(j) = 0 loses no solution when z^j leads
+    a homogeneous solution (r = den of den*r' - den'*r = num).  That row and
+    the s rows under the band have no unknown left: they are the residual
+    check, and a nonzero one means there is no solution.
     """
     # scale * ops[k] = ints[k] and scale * rhs = b / rhs._den: solve for rhs._den * r
     scale = math.lcm(*(a._den for a in ops))
@@ -442,14 +443,14 @@ def polynomial_solution(ops: Sequence[ExactPoly], rhs: ExactPoly) -> ExactPoly |
     # derivs[k][l] = den * (l+k)!/l! * r_(l+k): r^(k) over den, zero until found
     derivs = [[0] * max(n + 1 - k, 0) for k in range(len(ints))]
     den = 1
-    for j in range(n, -1, -1):
+    for j in range(n, -s - 1, -1):
         t = j + s
-        total = den * b[t] if t >= 0 else 0
+        total = den * b[t]
         for k, (a, d) in enumerate(zip(ints, derivs)):
             # row t of ops[k] * r^(k), over the entries l > j - k found so far
             lo, hi = max(t + 1 - len(a), j + 1 - k, 0), min(t + 1, len(d))
             total -= sum(map(operator.mul, a[t + 1 - hi:t + 1 - lo][::-1], d[lo:hi]))
-        pivot = sum(c * math.perm(j, k) for k, c in enumerate(lead))
+        pivot = sum(c * math.perm(j, k) for k, c in enumerate(lead)) if j >= 0 else 0
         if not pivot:
             if total:
                 return None
@@ -461,8 +462,7 @@ def polynomial_solution(ops: Sequence[ExactPoly], rhs: ExactPoly) -> ExactPoly |
         rj = total // pivot
         for k, d in enumerate(derivs[:j + 1]):
             d[j - k] = rj * math.perm(j, k)
-    r = ExactPoly._ints(derivs[0], den * rhs._den)
-    return None if sum((a * r.derivative(k) for k, a in enumerate(ops)), -rhs) else r
+    return ExactPoly._ints(derivs[0], den * rhs._den)
 
 
 def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
