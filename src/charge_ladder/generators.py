@@ -123,8 +123,8 @@ def _ladder_step(den: ExactPoly, coef: int, num: ExactPoly, constant: Fraction,
     one top-down solve that needs no squarefree den, so theta_2 = z^3 (t_2 = 0)
     and the pure powers of z of zero ladder constants take the same route.  r
     is normalised as den * (P + C/den) with P(0) = 0 and deg C < deg den.  No
-    solution means a logarithmic term, which would contradict the closure of
-    the family and is reported as an internal invariant failure.
+    solution (a logarithmic term, or a pole deeper than den) would contradict
+    the closure of the family and is reported as an internal invariant failure.
     """
     r = polynomial_solution((-den.derivative(), den), num)
     if r is None:

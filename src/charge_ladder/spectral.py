@@ -144,7 +144,7 @@ def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) ->
     q*p'' + 2(k*q - lam*q')*p' + (lam^2*q'' - 2k*lam*q')*p on p, whose pivot
     2k*(j - lam*deg q) on the coefficient p_j vanishes only at j = n.  With
     p_n = 1 moved to the right-hand side, polynomial_solution fixes p_0..p_{n-1}
-    by back-substitution, so the rank is always n; a nonzero residual is
+    by back-substitution, so the rank is always n; a failed consistency row is
     definitive: no monic p of degree n balances this (q, k).
     """
     lam, k = as_fraction(lam), as_fraction(k)
