@@ -11,6 +11,8 @@ symbolic primitives everything else is built on:
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
   the field solve and each log-free integral of N/p**2 is one,
+* Wronskians by Sylvester condensation (``wronskian``): about n**2/2
+  two-by-two Wronskians, each divided exactly by the previous pivot,
 * reduction of integrals of the form N/p**2 (``hermite_reduce``, whose
   modular inverse only writes out a log obstruction, plus the fully general
   ``integrate_rational`` for arbitrary denominators),
@@ -751,43 +753,41 @@ def squarefree_factorization(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
 
 
 def wronskian(fs: Sequence[ExactPoly]) -> ExactPoly:
-    """Determinant of the derivative matrix M[i][j] = fs[j]^(i), 0 <= i < len(fs)."""
+    """Determinant of the derivative matrix M[i][j] = fs[j]^(i), 0 <= i < len(fs),
+    by Sylvester condensation (``_prefix_wronskians``)."""
     if not fs:
         raise ValueError("wronskian of an empty list")
-    n = len(fs)
-    columns = []
-    for f in fs:
-        derivs = [f]
-        for _ in range(n - 1):
-            derivs.append(derivs[-1].derivative())
-        columns.append(derivs)
-    return det_poly_matrix([[columns[j][i] for j in range(n)] for i in range(n)])
+    return _prefix_wronskians(fs)[-1]
 
 
-def det_poly_matrix(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
-    """Exact determinant by memoized Laplace expansion along rows."""
-    n = len(matrix)
-    memo: dict[tuple[int, ...], ExactPoly] = {}
+def _prefix_wronskians(fs: Sequence[ExactPoly], twist: Fraction = Fraction(0)) -> list[ExactPoly]:
+    """The Wronskians W[fs[:1]], ..., W[fs] by Sylvester condensation.
 
-    def minor(cols: tuple[int, ...]) -> ExactPoly:
-        if not cols:
-            return ExactPoly.one()
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = n - len(cols)
-        acc = ExactPoly.zero()
-        for idx, c in enumerate(cols):
-            entry = matrix[row][c]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
+    Sylvester's identity W(A, g, h) * W(A) = W(W(A, g), W(A, h)) (Bareiss,
+    Math. Comp. 22, 1968) turns the determinant into about n**2/2 two-by-two
+    Wronskians: at step i the pivot a = W(fs[:i+1]) replaces each later entry
+    W(fs[:i], h) by W(a, W(fs[:i], h)) divided exactly by the previous pivot.
+    A zero pivot makes its prefix linearly dependent, so every later
+    Wronskian is zero.  A nonzero twist k makes the last member stand for
+    e^(kz)*fs[-1]: its derivative h' is replaced by h' + k*h, and the results
+    that include it are given with the factor e^(kz) removed.
+    """
+    g = list(fs)
+    out: list[ExactPoly] = []
+    prev = ExactPoly.one()
+    for i, a in enumerate(g):
+        if a.is_zero:
+            return out + [a] * (len(g) - i)
+        da = a.derivative()
+        for j in range(i + 1, len(g)):
+            h = g[j]
+            dh = h.derivative()
+            if twist and j == len(g) - 1:
+                dh = dh + twist * h
+            g[j] = exact_div(a * dh - da * h, prev)
+        out.append(a)
+        prev = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +797,7 @@ def det_poly_matrix(matrix: Sequence[Sequence[ExactPoly]]) -> ExactPoly:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of reducing the integral of N/p**2 for squarefree p.
+    """Outcome of reducing the integral of N/p**2.
 
     The exact identity is
 
@@ -839,26 +839,27 @@ class RationalIntegral:
 
 
 def hermite_reduce(num: ExactPoly, p: ExactPoly) -> ReductionResult:
-    """Reduce the integral of num/p**2 with p squarefree.
+    """Reduce the integral of num/p**2.
 
     The integral is P + C/p, B = 0, exactly when r = P*p + C is a polynomial
     solution of p*r' - p'*r = num; normalised by P(0) = 0, deg C < deg p.
-    Otherwise it splits num/p**2 = S + R/p**2 by division, solves
+    That route holds for any nonzero p.  Otherwise p must be squarefree: the
+    reduction splits num/p**2 = S + R/p**2 by division, solves
     C = -R * (p')^{-1} (mod p) so that (C/p)' matches the proper part up to a
     simple-pole remainder, and returns that remainder's numerator B.
     """
     if p.is_zero:
         raise DivisionByZero("denominator polynomial is zero")
-    if not is_squarefree(p):
-        raise NotSquarefree("hermite_reduce requires a squarefree denominator base")
     dp = p.derivative()
     r = polynomial_solution((-dp, p), num)
     if r is not None:
         poly_part, c = divmod(r, p)
         return ReductionResult(poly_part - poly_part.coeff(0), c, ExactPoly.zero())
+    if not is_squarefree(p):
+        raise NotSquarefree("hermite_reduce requires a squarefree denominator base")
     poly_part, rem = divmod(num, p * p)
     c = (-rem * invert_mod(dp % p, p)) % p
-    b = exact_div(rem - c.derivative() * p + c * dp, p)
+    b = exact_div(rem + c * dp, p) - c.derivative()
     return ReductionResult(poly_part.antiderivative(), c, b)
 
 

@@ -20,8 +20,8 @@ from .polyrat import (
     InvariantViolation,
     NotSquarefree,
     RationalLike,
+    _prefix_wronskians,
     as_fraction,
-    det_poly_matrix,
     is_squarefree,
     polynomial_solution,
 )
@@ -76,8 +76,10 @@ def ba_lambda1(n: int, k: RationalLike, psi_constants=None) -> FieldPair:
     """Charge-ratio-1 field pair from Wronskians with an exponential column.
 
     q is the plain Wronskian of the double-antiderivative chain psi_1..psi_n;
-    p is the same determinant extended by a column whose i-th derivative slot
-    carries the factored weight k**i.  Satisfies the field bracket exactly.
+    p is W[psi_1, ..., psi_n, e^(kz)] / e^(kz), the same determinant extended
+    by a column whose i-th derivative slot carries k**i.  Both are the last
+    two pivots of one condensation sweep over the chain and the twisted
+    constant 1.  Satisfies the field bracket exactly.
     """
     k = as_fraction(k)
     if k == 0:
@@ -86,16 +88,7 @@ def ba_lambda1(n: int, k: RationalLike, psi_constants=None) -> FieldPair:
         raise ValueError("chain length must be >= 0")
     if n == 0:
         return FieldPair(ExactPoly.one(), ExactPoly.one(), k, 1)
-    chain = psi_chain(n, psi_constants)
-    columns = []
-    for f in chain:
-        derivs = [f]
-        for _ in range(n):
-            derivs.append(derivs[-1].derivative())
-        columns.append(derivs)
-    columns.append([ExactPoly.constant(k ** i) for i in range(n + 1)])
-    p = det_poly_matrix([[columns[j][i] for j in range(n + 1)] for i in range(n + 1)])
-    q = det_poly_matrix([[columns[j][i] for j in range(n)] for i in range(n)])
+    q, p = _prefix_wronskians(psi_chain(n, psi_constants) + [ExactPoly.one()], k)[-2:]
     pair = FieldPair(p, q, k, 1)
     if not bilinear_field_check(pair).is_zero:
         raise InvariantViolation("exponential-column Wronskian pair failed the field bracket")

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from charge_ladder.generators import LadderState, adler_moser, lambda2_ladder
+from charge_ladder.polyrat import ExactPoly
 
 
 def rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
@@ -15,6 +17,20 @@ def nonzero_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fra
         value = rational(rng, span, max_den)
         if value != 0:
             return value
+
+
+def leibniz_det(matrix) -> ExactPoly:
+    """Determinant of a square matrix of polynomials as the signed sum of its
+    n! permutation products; a reference independent of any elimination."""
+    n = len(matrix)
+    total = ExactPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = ExactPoly.constant(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
 
 
 def random_ladder_state(rng: random.Random, i: int) -> LadderState:

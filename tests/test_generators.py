@@ -25,6 +25,7 @@ from charge_ladder.polyrat import (
     integrate_rational,
     is_squarefree,
 )
+from charge_ladder.spectral import ba_lambda1
 from conftest import nonzero_rational, random_ladder_state, rational
 
 Z = ExactPoly.x()
@@ -161,6 +162,18 @@ def test_wronskian_chain_bracket_pairs():
         b = adler_moser_wronskian(n + 1, constants)
         assert bracket(a, b, BracketParams(1)).is_zero
         assert a.degree == n * (n + 1) // 2
+
+
+def test_wronskian_reach_in_time():
+    # theta_17, theta_18 (degrees 153, 171) with a zero lam=1 bracket and the
+    # n=16 field pair within 5 s: a regression gate on the Wronskian routine
+    rng = random.Random(17)
+    constants = [(rational(rng), rational(rng)) for _ in range(17)]
+    start = time.perf_counter()
+    a, b = adler_moser_wronskian(17, constants), adler_moser_wronskian(18, constants)
+    assert bracket(a, b, BracketParams(1)).is_zero
+    assert ba_lambda1(16, F(3, 2), constants).q.monic() == adler_moser_wronskian(16, constants)
+    assert time.perf_counter() - start < 5
 
 
 # -- lambda2 ladder ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from charge_ladder.polyrat import (
     squarefree_factorization,
     wronskian,
 )
+from conftest import leibniz_det, nonzero_rational
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
@@ -213,6 +214,29 @@ def test_wronskian_empty_raises():
         wronskian([])
 
 
+def test_wronskian_matches_leibniz_determinant():
+    # every prefix of seeded sets of up to 6 members, plain and with a
+    # dependent (f3 = 2/3*f1 + f2), zero, constant or repeated member spliced
+    # in at a random place, against the determinant of the derivative matrix
+    rng = random.Random(1968)
+    for n in range(1, 7):
+        for kind in ("plain", "dependent", "zero", "constant", "repeated"):
+            fs = [random_poly(rng, rng.randint(0, 7)) for _ in range(n)]
+            if kind == "dependent" and n >= 2:
+                fs.insert(2, F(2, 3) * fs[0] + fs[1])
+                assert wronskian(fs[:3]).is_zero
+            elif kind == "zero":
+                fs.insert(rng.randint(0, n), ExactPoly.zero())
+            elif kind == "constant":
+                fs.insert(rng.randint(0, n), ExactPoly.constant(nonzero_rational(rng)))
+            elif kind == "repeated":
+                fs.insert(rng.randint(0, n), rng.choice(fs))
+            fs = fs[:6]
+            for m in range(1, len(fs) + 1):
+                matrix = [[f.derivative(i) for f in fs[:m]] for i in range(m)]
+                assert wronskian(fs[:m]) == leibniz_det(matrix)
+
+
 # -- hermite reduction -----------------------------------------------------------
 
 
@@ -238,6 +262,13 @@ def test_hermite_log_obstruction():
 def test_hermite_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
         hermite_reduce(ONE, Z ** 2)
+
+
+def test_hermite_log_free_over_repeated_base():
+    # the integral of -2z/z^4 is 1/z^2: the log-free route needs no squarefree p
+    red = hermite_reduce(-2 * Z, Z ** 2)
+    assert red.poly_antideriv.is_zero and red.log_free
+    assert red.rational_part_numerator == ONE
 
 
 def hermite_identity_holds(num, p):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from charge_ladder.generators import BracketParams, bracket
+from charge_ladder.generators import BracketParams, bracket, psi_chain
 from charge_ladder.polyrat import ExactPoly, NotSquarefree
 from charge_ladder.spectral import (
     FieldPair,
@@ -14,6 +15,7 @@ from charge_ladder.spectral import (
     scale_substitute,
     solve_p_given_q,
 )
+from conftest import leibniz_det, rational
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
@@ -65,6 +67,21 @@ def test_ba_bracket_zero_through_n4():
         for k in (F(1), F(2), F(1, 2)):
             pair = ba_lambda1(n, k, constants)
             assert bilinear_field_check(pair).is_zero
+
+
+def test_ba_matches_exponential_column_determinant():
+    # q = det(psi_j^(i)) and p = the same with the column k**i appended, for
+    # seeded chain constants, against the determinant written out in full
+    rng = random.Random(1978)
+    for n in range(1, 6):
+        constants = [(rational(rng), rational(rng)) for _ in range(n - 1)]
+        chain = psi_chain(n, constants)
+        q = leibniz_det([[f.derivative(i) for f in chain] for i in range(n)])
+        for k in (F(1), F(3, 2), F(-2, 7)):
+            pair = ba_lambda1(n, k, constants)
+            assert pair.q == q
+            assert pair.p == leibniz_det([[f.derivative(i) for f in chain] + [ExactPoly.constant(k ** i)]
+                                          for i in range(n + 1)])
 
 
 def test_ba_requires_field():
