@@ -45,7 +45,8 @@ from .numerics import (
     ConvergenceFailure,
     verify_equilibrium,
 )
-from .polyrat import ExactPoly, InvariantViolation, NotCoprime, NotSquarefree
+from .polyrat import (ExactPoly, InvariantViolation, NotCoprime, NotSquarefree,
+                      _parse_rational, _rational_str)
 from .spectral import FieldRequired, solve_p_given_q
 
 _CONST_FLAG = re.compile(r"^--(t|tau)(-?\d+)$")
@@ -57,7 +58,7 @@ class UsageError(Exception):
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
@@ -102,8 +103,8 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_generate(args, extras) -> int:
-    constants = _parse_constants(extras)
+def cmd_generate(args) -> int:
+    constants = args.constants
     if args.family == "adler-moser":
         if args.index < 0:
             raise UsageError("adler-moser index must be >= 0")
@@ -115,7 +116,7 @@ def cmd_generate(args, extras) -> int:
             "index": args.index,
             "theta": theta.to_json(),
             "degree": int(theta.degree),
-            "constants": {f"t{i}": str(v) for i, v in sorted(constants.t.items())},
+            "constants": {f"t{i}": _rational_str(v) for i, v in sorted(constants.t.items())},
         })
         return 0
     p, q = lambda2_ladder(args.index, constants)
@@ -127,16 +128,14 @@ def cmd_generate(args, extras) -> int:
         "degrees": {"p": int(p.degree) if not p.is_zero else None,
                     "q": int(q.degree) if not q.is_zero else None},
         "constants": {
-            **{f"t{i}": str(v) for i, v in sorted(constants.t.items())},
-            **{f"tau{i}": str(v) for i, v in sorted(constants.tau.items())},
+            **{f"t{i}": _rational_str(v) for i, v in sorted(constants.t.items())},
+            **{f"tau{i}": _rational_str(v) for i, v in sorted(constants.tau.items())},
         },
     })
     return 0
 
 
-def cmd_bracket(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized argument: {extras[0]}")
+def cmd_bracket(args) -> int:
     p, q = _load_poly(args.p), _load_poly(args.q)
     result = bracket(p, q, BracketParams(_parse_fraction(args.lam), _parse_fraction(args.k)))
     _emit({
@@ -148,18 +147,14 @@ def cmd_bracket(args, extras) -> int:
     return 0 if result.is_zero else 1
 
 
-def cmd_certify(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized argument: {extras[0]}")
+def cmd_certify(args) -> int:
     p, q = _load_poly(args.p), _load_poly(args.q)
     cert = certify_rational_integrals(p, q, _parse_fraction(args.lam))
     _emit(cert.to_json())
     return 0 if cert.rational else 1
 
 
-def cmd_equilibrium(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized argument: {extras[0]}")
+def cmd_equilibrium(args) -> int:
     p, q = _load_poly(args.p), _load_poly(args.q)
     tol = args.tol if args.tol is not None else _default_tol()
     report = verify_equilibrium(p, q, _parse_fraction(args.lam), _parse_fraction(args.k), tol)
@@ -171,9 +166,7 @@ def cmd_equilibrium(args, extras) -> int:
     return 0 if report.equilibrium else 1
 
 
-def cmd_solve_field(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized argument: {extras[0]}")
+def cmd_solve_field(args) -> int:
     q = _load_poly(args.q)
     report = solve_p_given_q(q, _parse_fraction(args.lam), _parse_fraction(args.k))
     _emit(report.to_json())
@@ -192,9 +185,7 @@ def _initial_system(args) -> ChargeSystem:
     return ChargeSystem.from_pair(_load_poly(args.p), _load_poly(args.q), _parse_fraction(args.lam))
 
 
-def cmd_simulate(args, extras) -> int:
-    if extras:
-        raise UsageError(f"unrecognized argument: {extras[0]}")
+def cmd_simulate(args) -> int:
     system = _initial_system(args)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     close_out = out is not sys.stdout
@@ -251,20 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a polynomial family member")
     g.add_argument("family", choices=["adler-moser", "lambda2"])
     g.add_argument("index", type=int)
-    g.set_defaults(func=cmd_generate, allow_extras=True)
+    g.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("bracket", help="evaluate the bilinear bracket of a pair")
     b.add_argument("p")
     b.add_argument("q")
     b.add_argument("--lam", default="1")
     b.add_argument("--k", default="0")
-    b.set_defaults(func=cmd_bracket, allow_extras=False)
+    b.set_defaults(func=cmd_bracket)
 
     c = sub.add_parser("certify", help="certify rationality of the attached integrals")
     c.add_argument("p")
     c.add_argument("q")
     c.add_argument("--lam", default="2")
-    c.set_defaults(func=cmd_certify, allow_extras=False)
+    c.set_defaults(func=cmd_certify)
 
     e = sub.add_parser("equilibrium", help="verify zero net force at the roots")
     e.add_argument("p")
@@ -273,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", default="0")
     e.add_argument("--tol", type=float, default=None)
     e.add_argument("--format", choices=["json", "csv-positions"], default="json")
-    e.set_defaults(func=cmd_equilibrium, allow_extras=False)
+    e.set_defaults(func=cmd_equilibrium)
 
     s = sub.add_parser("solve-field", help="solve the field equation for p given q")
     s.add_argument("q")
     s.add_argument("--lam", default="2")
     s.add_argument("--k", default="1")
-    s.set_defaults(func=cmd_solve_field, allow_extras=False)
+    s.set_defaults(func=cmd_solve_field)
 
     m = sub.add_parser("simulate", help="integrate the root flow")
     m.add_argument("--init", help="JSON file with positions/charges")
@@ -290,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--rel-tol", type=float, default=1e-10)
     m.add_argument("--abs-tol", type=float, default=1e-12)
     m.add_argument("--out", help="JSONL trajectory path ('-' for stdout)")
-    m.set_defaults(func=cmd_simulate, allow_extras=False)
+    m.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -299,7 +290,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
-        return args.func(args, extras)
+        # only generate takes flags beyond its parser: the --tN/--tauN constants
+        if args.command == "generate":
+            args.constants = _parse_constants(extras)
+        elif extras:
+            raise UsageError(f"unrecognized argument: {extras[0]}")
+        return args.func(args)
     except (ConvergenceFailure, CollisionError) as exc:
         # CollisionError is a ValueError, but it comes from the float roots
         # of a pair that passed the exact checks, not from the input.

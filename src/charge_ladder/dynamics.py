@@ -122,13 +122,8 @@ _DP_ERR = (
 )
 
 
-def integrate(
-    system: ChargeSystem,
-    t_end: float,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    _rhs_scale: float = 1.0,
-) -> Trajectory:
+def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
+              abs_tol: float = 1e-12) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the root flow to t_end.
 
     Per-component error control with a PI step controller.  Each stage builds
@@ -155,8 +150,8 @@ def integrate(
 
     t = 0.0
     w = _inverse_differences(zs)
-    k1 = _rhs_scale * (w @ qs)
-    record(t, zs, w, k1 / _rhs_scale)
+    k1 = w @ qs
+    record(t, zs, w, k1)
     vmag = float(np.abs(k1).max(initial=0.0))
     h = min(t_end, 0.01 * (1.0 + float(np.abs(zs).max(initial=0.0))) / (1.0 + vmag))
     h_min = 1e-14 * max(t_end, 1.0)
@@ -173,14 +168,14 @@ def integrate(
         for row in _DP_A[1:]:
             y_new = zs + h * sum(a * k for a, k in zip(row, ks))
             w_new = _inverse_differences(y_new)
-            ks.append(_rhs_scale * (w_new @ qs))
+            ks.append(w_new @ qs)
         err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
         sc = abs_tol + rel_tol * np.maximum(np.abs(zs), np.abs(y_new))
         err = float(np.sqrt(np.mean(np.abs(err_vec / sc) ** 2))) if len(zs) else 0.0
         if err <= 1.0:
             t += h
             zs, w, k1 = y_new, w_new, ks[-1]
-            record(t, zs, w, k1 / _rhs_scale)
+            record(t, zs, w, k1)
             traj.steps_accepted += 1
             traj.max_error_estimate = max(traj.max_error_estimate, err)
             dist, pair = _nearest(w)
@@ -227,15 +222,16 @@ def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
     """Residual of the bilinear evolution identity over one finite-difference
     window:  max coefficient of  q*dp/dt - lam*p*dq/dt - {p, q}_lam.
 
-    The roots are evolved under the flow in the time normalization of the
-    bilinear identity itself (a factor -2 relative to `integrate`); the
-    returned residual is O(dt) plus root-finding noise.
+    The roots are evolved in the time normalization of the bilinear identity,
+    -2 times that of `integrate`, as the flow of the charges times -2 (exact
+    in floats); the returned residual is O(dt) plus root-finding noise.
     """
     lam = Fraction(lam)
     system = ChargeSystem.from_pair(p, q, lam)
+    system = ChargeSystem(system.positions, [-2.0 * c for c in system.charges])
     p, q = p.monic() if p.degree > 0 else ExactPoly.one(), q.monic() if q.degree > 0 else ExactPoly.one()
     n, m = int(p.degree), int(q.degree)
-    traj = integrate(system, dt, rel_tol=1e-12, abs_tol=1e-14, _rhs_scale=-2.0)
+    traj = integrate(system, dt, rel_tol=1e-12, abs_tol=1e-14)
     moved = traj.final.system.positions
     p0 = np.asarray(to_floats(p))
     q0 = np.asarray(to_floats(q))

@@ -94,10 +94,6 @@ class LadderState:
         object.__setattr__(self, "t", {int(i): as_fraction(v) for i, v in dict(self.t).items()})
         object.__setattr__(self, "tau", {int(i): as_fraction(v) for i, v in dict(self.tau).items()})
 
-    @property
-    def branch(self) -> int:
-        return (self.index > 0) - (self.index < 0)
-
     def t_at(self, i: int) -> Fraction:
         return self.t.get(i, Fraction(0))
 

@@ -87,17 +87,16 @@ class ChargeSystem:
         )
 
     @classmethod
-    def from_pair(cls, p: ExactPoly, q: ExactPoly, lam, k=0,
-                  root_tol: float = DEFAULT_ROOT_TOL) -> "ChargeSystem":
+    def from_pair(cls, p: ExactPoly, q: ExactPoly, lam, k=0) -> "ChargeSystem":
         """Charge +1 at each root of p, then charge -lam at each root of q (none
         for a constant), in field k: a complex k as given, else as a rational.
 
         Raises NotSquarefree or NotCoprime unless p and q are nonzero,
-        squarefree and coprime.  Roots come from `roots` at tolerance root_tol;
-        float roots that coincide raise CollisionError.
+        squarefree and coprime.  Roots come from `roots`; float roots that
+        coincide raise CollisionError.
         """
         require_squarefree_coprime(p, q)
-        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly, root_tol)]
+        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
         charges = [1.0] * int(p.degree) + [-float(Fraction(lam))] * int(q.degree)
         fld = k if isinstance(k, complex) else complex(float(Fraction(k)))
         system = cls(positions, charges, field=fld)
@@ -160,14 +159,16 @@ def _separated(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
     return zs, np.asarray(system.charges, dtype=float)
 
 
-def roots(p: ExactPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
+def roots(p: ExactPoly) -> list[complex]:
     """All deg(p) complex roots of p.
 
     Companion-matrix eigenvalues provide the initial guess; Aberth-Ehrlich
     simultaneous iteration in extended precision polishes until every residual
-    satisfies |p(r)| <= tol * max|coeff| * max(1, |r|)**deg.  Near-coincident
-    roots trigger MultipleRootWarning (generated families are squarefree, so
-    this flags an upstream problem rather than a legitimate outcome).
+    satisfies |p(r)| <= DEFAULT_ROOT_TOL * max|coeff| * max(1, |r|)**deg, and
+    raises ConvergenceFailure when 120 iterations do not get there.
+    Near-coincident roots trigger MultipleRootWarning (generated families are
+    squarefree, so this flags an upstream problem rather than a legitimate
+    outcome).
     """
     deg = p.degree
     if deg < 1:
@@ -181,13 +182,14 @@ def roots(p: ExactPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
     coeffs = cf.astype(np.longdouble)
     dcoeffs = (cf[1:] * np.arange(1, len(cf))).astype(np.longdouble)
     n = int(deg)
-    converged = False
-    for _ in range(120):
+    for it in range(121):
         pv = _horner(coeffs, zs)
-        bound = tol * np.maximum(1.0, np.abs(zs).astype(float)) ** n
+        bound = DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(zs).astype(float)) ** n
         if np.all(np.abs(pv).astype(float) <= bound):
-            converged = True
             break
+        if it == 120:
+            raise ConvergenceFailure(
+                f"root polishing stalled; worst residual {float(np.abs(pv).max()):.3e}")
         dv = _horner(dcoeffs, zs)
         dv = np.where(dv == 0, np.clongdouble(1e-300), dv)
         newton = pv / dv
@@ -198,12 +200,6 @@ def roots(p: ExactPoly, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
         denom = np.where(denom == 0, np.clongdouble(1e-300), denom)
         step = newton / denom
         zs = zs - step
-    if not converged:
-        pv = _horner(coeffs, zs)
-        bound = tol * np.maximum(1.0, np.abs(zs).astype(float)) ** n
-        if not np.all(np.abs(pv).astype(float) <= bound):
-            raise ConvergenceFailure(
-                f"root polishing stalled; worst residual {float(np.abs(pv).max()):.3e}")
     out = zs.astype(complex)
     spread = max(float(np.abs(out).max()), 1.0)
     if closest_pair(out)[0] < 1e-7 * spread:
@@ -246,22 +242,16 @@ class EquilibriumReport:
         }
 
 
-def verify_equilibrium(
-    p: ExactPoly,
-    q: ExactPoly,
-    lam,
-    k=0,
-    tol: float = DEFAULT_FORCE_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> EquilibriumReport:
-    """Force audit of `ChargeSystem.from_pair(p, q, lam, k, root_tol)`, which
+def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
+                       tol: float = DEFAULT_FORCE_TOL) -> EquilibriumReport:
+    """Force audit of `ChargeSystem.from_pair(p, q, lam, k)`, which
     raises NotSquarefree or NotCoprime on an invalid pair.
 
     Reports every force, the largest force norm against tol, the float64
     residual |p(r)| or |q(r)| of each root in system order, and the system
     itself.  Float roots that coincide raise CollisionError.
     """
-    system = ChargeSystem.from_pair(p, q, lam, k, root_tol)
+    system = ChargeSystem.from_pair(p, q, lam, k)
     deg_p = int(p.degree)
     residuals: list[float] = []
     for poly, zs in ((p, system.positions[:deg_p]), (q, system.positions[deg_p:])):
@@ -272,6 +262,6 @@ def verify_equilibrium(
         max_force_norm=max_norm,
         per_charge_forces=forces,
         root_residuals=residuals,
-        tolerances={"force": tol, "root": root_tol, "collision": COLLISION_FACTOR},
+        tolerances={"force": tol, "root": DEFAULT_ROOT_TOL, "collision": COLLISION_FACTOR},
         system=system,
     )

@@ -310,19 +310,13 @@ class ExactPoly:
         return ExactPoly._ints([0] + [c * (scale // (d + 1)) for d, c in enumerate(self._num)],
                                self._den * scale)
 
-    def compose_linear(self, scale: RationalLike, shift: RationalLike = 0) -> "ExactPoly":
-        """Substitute z -> scale*z + shift."""
-        a, b = as_fraction(scale), as_fraction(shift)
-        if b == 0:
-            n = len(self._num) - 1
-            return ExactPoly._ints(
-                [c * a.numerator ** d * a.denominator ** (n - d) for d, c in enumerate(self._num)],
-                self._den * a.denominator ** max(n, 0))
-        lin = ExactPoly((b, a))
-        acc = ExactPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+    def compose_linear(self, scale: RationalLike) -> "ExactPoly":
+        """Substitute z -> scale*z."""
+        a = as_fraction(scale)
+        n = len(self._num) - 1
+        return ExactPoly._ints(
+            [c * a.numerator ** d * a.denominator ** (n - d) for d, c in enumerate(self._num)],
+            self._den * a.denominator ** max(n, 0))
 
     def monic(self) -> "ExactPoly":
         if self.is_zero:
@@ -620,10 +614,13 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
 # intermediate blowup, so the inverse is computed mod one word-size prime,
 # lifted p-adically by Newton steps that double the precision, read back as
 # rationals over one common denominator, and finally *verified exactly* (von
-# zur Gathen & Gerhard, Modern Computer Algebra, 5.10 and 9); the exact
-# Euclidean route remains as a fallback.
-
-_LIFT_BITS = 1 << 18  # past this precision the exact fallback takes over
+# zur Gathen & Gerhard, Modern Computer Algebra, 5.10 and 9).  A prime p not
+# dividing lead(M) with gcd(M, A) = 1 mod p makes their resultant a p-adic
+# unit, so the inverse exists with no p in its denominators and the lift ends
+# at it once p**(2**j) exceeds twice the square of its largest numerator or
+# common denominator: the lift needs no precision cap.  Exact Euclid over Q
+# runs only when no prime certifies coprimality (a common factor, or unlucky
+# primes).
 
 
 def _newton_step(a: Sequence[int], m: Sequence[int], s: list[int], n: int) -> list[int]:
@@ -687,15 +684,14 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         if deg != 0:
             continue  # unlucky prime, or a genuine common factor
         n = prime
-        while n.bit_length() <= _LIFT_BITS:
+        while True:
             s, n = _newton_step(num, m, s, n), n * n
             found = _reconstruct(s, n)
             if found is not None:
                 candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
                 if ((candidate * a - 1) % modulus).is_zero:
                     return candidate
-        break
-    # Exact fallback; also the path that diagnoses genuine non-coprimality.
+    # No prime certified coprimality: exact Euclid decides it.
     g, s, _ = extended_gcd(a, modulus)
     if g.degree != 0:
         raise NotCoprime(f"no inverse: gcd has degree {g.degree}")

@@ -10,9 +10,10 @@ solution is decided by back-substitution (``polyrat.polynomial_solution``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .generators import BracketParams, bracket, psi_chain
 from .polyrat import (
@@ -169,38 +170,31 @@ def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) ->
 # ---------------------------------------------------------------------------
 
 
-def is_weight_homogeneous(
-    family: Callable[[Fraction], ExactPoly],
-    weight: int,
-    scales: Iterable[RationalLike] = (2, 3),
-    samples: Iterable[RationalLike] = (1, Fraction(1, 2), -2),
-) -> bool:
+_WEIGHT_SCALES = (Fraction(2), Fraction(3))
+_WEIGHT_SAMPLES = (Fraction(1), Fraction(1, 2), Fraction(-2))
+
+
+def is_weight_homogeneous(family: Callable[[Fraction], ExactPoly], weight: int) -> bool:
     """Test whether a monic one-parameter family transforms homogeneously.
 
-    Checks family(k**w * t)(k z) == k**deg * family(t)(z) exactly at the given
-    scales k and parameter samples t.
+    Checks family(k**w * t)(k z) == k**deg * family(t)(z) exactly at the
+    scales k = 2, 3 and the parameter samples t = 1, 1/2, -2.
     """
-    scales = [as_fraction(s) for s in scales]
-    samples = [as_fraction(t) for t in samples]
-    for t in samples:
+    for t in _WEIGHT_SAMPLES:
         base = family(t)
         deg = int(base.degree)
-        for k in scales:
+        for k in _WEIGHT_SCALES:
             transformed = family(k ** weight * t).compose_linear(k)
             if transformed != base * k ** deg:
                 return False
     return True
 
 
-def find_parameter_weight(
-    family: Callable[[Fraction], ExactPoly],
-    weights: Iterable[int] = range(1, 10),
-    scales: Iterable[RationalLike] = (2, 3),
-    samples: Iterable[RationalLike] = (1, Fraction(1, 2), -2),
-) -> int | None:
-    """First admissible parameter weight from ``weights``, or None if no
-    weight makes the family homogeneous."""
-    for w in weights:
-        if is_weight_homogeneous(family, w, scales, samples):
+def find_parameter_weight(family: Callable[[Fraction], ExactPoly]) -> int | None:
+    """First weight w in 1..9 that makes the family homogeneous, or None;
+    each distinct family(t) is built once per search."""
+    family = functools.cache(family)
+    for w in range(1, 10):
+        if is_weight_homogeneous(family, w):
             return w
     return None

@@ -91,9 +91,31 @@ def test_generate_malformed_rational_exits_2(capsys):
     assert "rational" in err
 
 
+def test_generate_rationals_past_the_int_str_digit_limit(capsys):
+    # 4400 digits, past the interpreter's 4300-digit int/str limit, as flag
+    # values and in the echoed constants
+    digits, value = "7" * 4400, 7 * (10 ** 4400 - 1) // 9
+    code, out, _ = run(capsys, "generate", "lambda2", "1", "--t1", digits, "--tau1", f"-{digits}/3")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["constants"] == {"t1": digits, "tau1": f"-{digits}/3"}
+    assert ExactPoly.from_json(blob["q"]) == Z - F(value, 3)
+    assert ExactPoly.from_json(blob["p"]).coeff(0) == value
+
+
 def test_generate_unknown_flag_exits_2(capsys):
     code, _, err = run(capsys, "generate", "lambda2", "1", "--bogus", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["bracket", "certify", "equilibrium", "solve-field", "simulate"])
+def test_stray_argument_exits_2(tmp_path, capsys, command):
+    p = write_poly(tmp_path, "p.json", Z ** 5 + 1)
+    q = write_poly(tmp_path, "q.json", Z)
+    inputs = {"solve-field": [q], "simulate": ["--p", p, "--q", q]}.get(command, [p, q])
+    code, out, err = run(capsys, command, *inputs, "--bogus", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized argument: --bogus\n"
 
 
 def test_certify_rational_pair(tmp_path, capsys):

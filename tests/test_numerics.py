@@ -6,6 +6,7 @@ import pytest
 
 from charge_ladder.generators import LadderState, adler_moser, lambda2_ladder
 from charge_ladder.numerics import (
+    DEFAULT_ROOT_TOL,
     ChargeSystem,
     CollisionError,
     MultipleRootWarning,
@@ -51,10 +52,10 @@ def test_roots_residual_bound():
         p = ExactPoly(coeffs + [F(1)])
         if p.degree < 1:
             continue
-        tol = 1e-12
+        tol = DEFAULT_ROOT_TOL
         cf = to_floats(p)
         scale = float(max(abs(c) for c in cf))
-        for r in roots(p, tol):
+        for r in roots(p):
             horner = sum(c * r ** d for d, c in enumerate(cf))
             assert abs(horner) <= tol * scale * max(1.0, abs(r)) ** int(p.degree)
 
@@ -162,8 +163,8 @@ def test_verify_equilibrium_preconditions():
 
 
 def test_report_echoes_tolerances_and_serializes():
-    report = verify_equilibrium(Z ** 2 - 1, Z, 1, tol=1e-7, root_tol=1e-11)
-    assert report.tolerances == {"force": 1e-7, "root": 1e-11, "collision": 1e-10}
+    report = verify_equilibrium(Z ** 2 - 1, Z, 1, tol=1e-7)
+    assert report.tolerances == {"force": 1e-7, "root": 1e-12, "collision": 1e-10}
     blob = report.to_json()
     assert blob["equilibrium"] is False
     assert len(blob["per_charge_forces"]) == 3

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from charge_ladder import polyrat
 from charge_ladder.generators import BracketParams, bracket
 from charge_ladder.polyrat import (
     DivisionByZero,
@@ -119,7 +120,7 @@ def test_product_matches_schoolbook_reference():
 def test_compose_linear_and_eval():
     p = Z ** 2 - 3 * Z + 3
     assert p.compose_linear(2) == 4 * Z ** 2 - 6 * Z + 3
-    assert p.compose_linear(1, 1) == (Z + 1) ** 2 - 3 * (Z + 1) + 3
+    assert p.compose_linear(F(-1, 3)) == Z ** 2 / 9 + Z + 3
     assert p(F(1, 2)) == F(1, 4) - F(3, 2) + 3
     assert abs(p(1j) - (1j * 1j - 3j + 3)) < 1e-15
 
@@ -185,6 +186,22 @@ def test_invert_mod():
     c = F(3 ** 200, 2 ** 301)
     with pytest.raises(NotCoprime):
         invert_mod((Z - c) * (Z + 1), (Z - c) * (Z ** 2 + 2))
+
+
+def test_invert_mod_lifts_past_2_18_bits(monkeypatch):
+    # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient,
+    # so the lift runs to about 2^20 bits; the exact Euclidean route is never
+    # taken
+    def unreachable(*args):
+        raise AssertionError("extended_gcd called on a coprime pair")
+
+    monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
+    # b is a power of the lift's prime, so below the final precision every
+    # residue reads back at once; an inverse with a denominator this large
+    # (z/c modulo z^2 - c) makes each lift step a long rational reconstruction
+    b = polyrat._PRIMES[0] ** 4400
+    assert b.bit_length() > 1 << 18
+    assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
 
 
 def test_squarefree_factorization_yun():

@@ -257,14 +257,32 @@ def test_weight_search_finds_adler_moser_weight():
     assert find_parameter_weight(family) == 3
 
 
+def test_weight_search_builds_each_member_once():
+    # the weights share their sample points, so a family member built for
+    # one weight is reused by the next
+    for family, weight in ((lambda t: Z ** 3 + ExactPoly.constant(t), 3), (q2_family, None)):
+        calls = []
+
+        def counting(t, family=family):
+            calls.append(t)
+            return family(t)
+
+        assert find_parameter_weight(counting) == weight
+        assert len(calls) == len(set(calls))
+
+
 def test_weight_search_rejects_field_families():
     # Neither q nor its degree-6 partner admits a parameter weight, with or
     # without a preliminary translation of z.
     p_family = lambda t: solve_p_given_q(q2_family(t)).pair.p
     assert find_parameter_weight(q2_family) is None
     assert find_parameter_weight(p_family) is None
+
+    def translate(poly, shift):  # poly(z + shift)
+        return sum((c * (Z + shift) ** d for d, c in enumerate(poly.coeffs)), ExactPoly.zero())
+
     for shift in (F(1), F(-1), F(1, 2)):
-        shifted_q = lambda t: q2_family(t).compose_linear(1, shift)
-        shifted_p = lambda t: p_family(t).compose_linear(1, shift)
+        shifted_q = lambda t: translate(q2_family(t), shift)
+        shifted_p = lambda t: translate(p_family(t), shift)
         assert find_parameter_weight(shifted_q) is None
         assert find_parameter_weight(shifted_p) is None
