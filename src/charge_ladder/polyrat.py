@@ -5,8 +5,9 @@ denominator, in ascending degree order with trailing zeros stripped and in
 lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
 run by Kronecker substitution and modular inverses by Newton lifting, both on
-Python integers.  On top of the ring operations the module provides the
-symbolic primitives everything else is built on:
+Python integers; the lift stops at a rational reconstruction or, near the
+Hadamard bound, at the resultant.  On top of the ring operations the module
+provides the symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -612,28 +613,62 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
 # with bulky rational coefficients (log-free integrals are polynomial
 # solutions and need none).  Plain extended Euclid over Q suffers severe
 # intermediate blowup, so the inverse is computed mod one word-size prime,
-# lifted p-adically by Newton steps that double the precision, read back as
-# rationals over one common denominator, and finally *verified exactly* (von
-# zur Gathen & Gerhard, Modern Computer Algebra, 5.10 and 9).  A prime p not
-# dividing lead(M) with gcd(M, A) = 1 mod p makes their resultant a p-adic
-# unit, so the inverse exists with no p in its denominators and the lift ends
-# at it once p**(2**j) exceeds twice the square of its largest numerator or
-# common denominator: the lift needs no precision cap.  Exact Euclid over Q
-# runs only when no prime certifies coprimality (a common factor, or unlucky
-# primes).
+# lifted p-adically by Newton steps that double the precision, read back and
+# finally *verified exactly* (von zur Gathen & Gerhard, Modern Computer
+# Algebra, 5.10, 6.11 and 9).  A prime p not dividing lead(M) with
+# gcd(M, A) = 1 mod p makes res(M, A) a p-adic unit, so the inverse exists
+# with no p in its denominators.  The lift has two stops.  After each
+# doubling, Wang's reconstruction reads it back as rationals over one
+# denominator, which works once p**(2**j) exceeds twice the square of their
+# size: early for a small inverse.  Before the doubling that would pass the
+# Hadamard bound of res(M, A), the resultant is computed instead: by
+# U*M + V*A = res(M, A) the inverse is V/res with V integral, so the lift
+# goes on only to bits(res) plus one word and reads V off as symmetric
+# residues.  If V is larger than that, the check fails and doubling with Wang
+# resumes: the lift needs no precision cap.  Exact Euclid over Q runs only
+# when no prime certifies coprimality (a common factor, or unlucky primes).
 
 
-def _newton_step(a: Sequence[int], m: Sequence[int], s: list[int], n: int) -> list[int]:
-    """From s*a = 1 (mod m, n) to s' with s'*a = 1 (mod m, n**2).
+def _lift(a: Sequence[int], m: Sequence[int], s: list[int], n: int, t: int) -> tuple[list[int], int]:
+    """From s*a = 1 (mod m, n) to s' with s'*a = 1 (mod m, n*t), t a power of
+    n's prime; returns s' and n*t.  Each Newton step s' = s + n*(s*h mod u),
+    h = (1 - a*s)/n, lifts by u = min(n, t): the last one only by what is
+    left of t, and the second product runs at precision u, not n*u."""
+    while t > 1:
+        u = min(n, t)
+        big = n * u
+        _, e = _divmod_mod(_kmul(a, s), m, big)
+        h = [-c // n for c in e]
+        h[0] = (1 - e[0]) // n
+        _, r = _divmod_mod(_kmul(s, h), m, u)
+        s, n, t = [x + n * y for x, y in itertools.zip_longest(s, r, fillvalue=0)], big, t // u
+    return s, n
 
-    s' = s*(2 - a*s) = s + n*(s*h) with h = (1 - a*s)/n, so the second
-    product and its reduction run at precision n, not n**2.
-    """
-    _, e = _divmod_mod(_kmul(a, s), m, n * n)
-    h = [-c // n for c in e]
-    h[0] = (1 - e[0]) // n
-    _, t = _divmod_mod(_kmul(s, h), m, n)
-    return [x + n * y for x, y in itertools.zip_longest(s, t, fillvalue=0)]
+
+def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """res(a, b) of nonzero integer vectors without trailing zeros, 0 when
+    they share a factor, by the subresultant PRS (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7): each pseudo-remainder
+    divides exactly by g*h**delta, so coefficients grow only linearly."""
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    da, db = len(a) - 1, len(b) - 1
+    res = ca ** db * cb ** da
+    if da < db:  # res(a, b) = (-1)**(da*db) * res(b, a)
+        res = -res if da & db & 1 else res
+        a, b, da, db = b, a, db, da
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        _, rem, s = _divmod_int(a, b)  # s divides lead(b)**(delta+1)
+        f, d = b[-1] ** (delta + 1) // s, g * h ** delta
+        while rem and not rem[-1]:
+            rem.pop()
+        res = -res if da & db & 1 else res
+        a, b, g = b, [c * f // d for c in rem], b[-1]
+        h = g ** delta // h ** (delta - 1) if delta else h
+        da, db = db, len(b) - 1
+    return res * (b[-1] ** da // h ** (da - 1) if da else h) if b else 0
 
 
 def _reconstruct(residues: Sequence[int], n: int) -> tuple[list[int], int] | None:
@@ -677,16 +712,28 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         return ExactPoly.constant(1 / a.lead)
     # modulus = M/dm and a = A/da, so a's inverse is da times A's
     num, m = a._num, modulus._num
+    # bits of the Hadamard bound |res(M, A)| <= |M|**deg A * |A|**deg M
+    hadamard = ((len(num) - 1) * sum(c * c for c in m).bit_length()
+                + (len(m) - 1) * sum(c * c for c in num).bit_length()) // 2 + 1
     for prime in _PRIMES:
         if m[-1] % prime == 0:
             continue
         deg, s = _euclid_mod(m, num, prime)
         if deg != 0:
             continue  # unlucky prime, or a genuine common factor
-        n = prime
+        n, k, res = prime, 1, None  # n = prime**k
         while True:
-            s, n = _newton_step(num, m, s, n), n * n
-            found = _reconstruct(s, n)
+            if res is None and 2 * n.bit_length() > hadamard:
+                # the resultant stop: V = res*s mod prime**j past bits(res) + a word
+                res = _resultant(m, num)
+                j = -(-(res.bit_length() + 64) // (prime.bit_length() - 1))
+                if j > k:
+                    (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
+                big = prime ** j
+                found = [c - big if c > big >> 1 else c for c in (x * res % big for x in s)], res
+            else:
+                (s, n), k = _lift(num, m, s, n, n), 2 * k
+                found = _reconstruct(s, n)
             if found is not None:
                 candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
                 if ((candidate * a - 1) % modulus).is_zero:

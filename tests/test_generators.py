@@ -23,6 +23,7 @@ from charge_ladder.polyrat import (
     exact_div,
     gcd_poly,
     integrate_rational,
+    invert_mod,
     is_squarefree,
 )
 from charge_ladder.spectral import ba_lambda1
@@ -174,6 +175,16 @@ def test_wronskian_reach_in_time():
     assert bracket(a, b, BracketParams(1)).is_zero
     assert ba_lambda1(16, F(3, 2), constants).q.monic() == adler_moser_wronskian(16, constants)
     assert time.perf_counter() - start < 5
+
+
+def test_invert_mod_resultant_stop_in_time():
+    # the inverse z/3^40000 of z modulo z^2 - 3^40000 (a 63398-bit
+    # denominator) within 2 s: a regression gate on the lift's resultant
+    # stop (about 0.5 s), without which the lift runs to about four times
+    # that precision for Wang's reconstruction (4.4-4.8 s on a 2-CPU box)
+    start = time.perf_counter()
+    assert invert_mod(Z, Z ** 2 - 3 ** 40000) == Z / 3 ** 40000
+    assert time.perf_counter() - start < 2
 
 
 # -- lambda2 ladder ------------------------------------------------------------------

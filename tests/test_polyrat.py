@@ -197,11 +197,79 @@ def test_invert_mod_lifts_past_2_18_bits(monkeypatch):
 
     monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
     # b is a power of the lift's prime, so below the final precision every
-    # residue reads back at once; an inverse with a denominator this large
-    # (z/c modulo z^2 - c) makes each lift step a long rational reconstruction
+    # residue reads back at once.  The lift has two stops: Wang's
+    # reconstruction after each doubling, and the resultant stop before the
+    # doubling that would pass the Hadamard bound (about 2*268400 bits).
+    # There res = 1 while V = 1 - b*z, so V read off modulo the prime's
+    # square fails the exact check and the doubling after it ends at Wang
     b = polyrat._PRIMES[0] ** 4400
     assert b.bit_length() > 1 << 18
     assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
+
+
+def test_invert_mod_read_off_fails_then_doubles(monkeypatch):
+    # res(z^2, 7 + b*z) = 49 while V = 49*(7 + b*z)^-1 = 7 - b*z has a
+    # 268400-bit coefficient, more than the read-off precision: the resultant
+    # stop must fail its exact check (or return 1/7) and leave the inverse,
+    # with its denominator 49, to the doubling with Wang after it
+    def unreachable(*args):
+        raise AssertionError("extended_gcd called on a coprime pair")
+
+    resultant, resultants = polyrat._resultant, []
+
+    def recorded(a, b):
+        resultants.append(resultant(a, b))
+        return resultants[-1]
+
+    monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
+    monkeypatch.setattr(polyrat, "_resultant", recorded)
+    b = polyrat._PRIMES[0] ** 4400
+    assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
+    assert resultants == [49]
+
+
+def sylvester(a, b):
+    """Sylvester matrix of integer vectors a, b (ascending order) as constant
+    polynomials: deg b shifted rows of a over deg a shifted rows of b."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return [[ExactPoly.constant(c) for c in row] for row in rows]
+
+
+def test_resultant_matches_sylvester_determinant():
+    # seeded pairs with deg a + deg b <= 7, plain, with a shared factor
+    # (res 0), a degree gap of 2 or more either way, negative leads, contents
+    # above 1, a degree-0 operand and unequal odd degrees (where the order of
+    # the arguments flips the sign), against the Leibniz determinant of the
+    # Sylvester matrix; the sign is exact, in both argument orders
+    rng = random.Random(3307)
+
+    def vec(degree):
+        return [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+
+    for kind in ("plain", "shared", "gap", "negative", "content", "constant", "odd") * 3:
+        da = rng.randint(1, 4)
+        db = rng.randint(1, 7 - da)
+        a, b = vec(da), vec(db)
+        if kind == "shared":
+            f = [rng.randint(-4, 4), rng.choice((-2, 1, 3))]
+            a, b = polyrat._kmul(vec(da - 1), f), polyrat._kmul(vec(db - 1), f)
+        elif kind == "gap":
+            db = rng.randint(0, 2)
+            a, b = vec(rng.randint(db + 2, 7 - db)), vec(db)
+        elif kind == "negative":
+            a[-1], b[-1] = -abs(a[-1]), -abs(b[-1])
+        elif kind == "content":
+            a, b = [rng.randint(2, 6) * c for c in a], [6 * c for c in b]
+        elif kind == "constant":
+            b = vec(0)
+        elif kind == "odd":
+            a, b = vec(1), vec(rng.choice((3, 5)))
+        for x, y in ((a, b), (b, a)):
+            assert polyrat._resultant(x, y) == leibniz_det(sylvester(x, y))
+        if kind == "shared":
+            assert polyrat._resultant(a, b) == 0
 
 
 def test_squarefree_factorization_yun():
