@@ -21,6 +21,7 @@ CHARGE_LADDER_TOL overrides the default force tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -187,20 +188,19 @@ def _initial_system(args) -> ChargeSystem:
 
 def cmd_simulate(args) -> int:
     system = _initial_system(args)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    close_out = out is not sys.stdout
 
     def dump(traj, status, collision=None):
-        for s in traj.samples:
-            record = {
-                "t": s.t,
-                "positions": [[z.real, z.imag] for z in s.system.positions],
-                "velocities": [[v.real, v.imag] for v in s.velocities],
-                "H": [s.invariant.real, s.invariant.imag],
-            }
-            out.write(json.dumps(record) + "\n")
-        if close_out:
-            out.close()
+        # --out opens only here, once integrate has checked its arguments
+        to_file = args.out not in (None, "-")
+        with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+            for s in traj.samples:
+                record = {
+                    "t": s.t,
+                    "positions": [[z.real, z.imag] for z in s.system.positions],
+                    "velocities": [[v.real, v.imag] for v in s.velocities],
+                    "H": [s.invariant.real, s.invariant.imag],
+                }
+                out.write(json.dumps(record) + "\n")
         h_abs, h_rel = traj.invariant_drift() if traj.samples else (0.0, 0.0)
         summary = {
             "status": status,
@@ -223,8 +223,6 @@ def cmd_simulate(args) -> int:
              {"time": exc.time, "pair": list(exc.pair)})
         return 4
     except StepSizeUnderflow as exc:
-        if close_out:
-            out.close()
         _emit({"status": "step-underflow", "detail": str(exc)})
         return 5
     dump(traj, "ok")

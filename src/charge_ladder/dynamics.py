@@ -24,6 +24,7 @@ its collision test from the last stage's matrix and velocities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -132,10 +133,13 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     is the closest pair) from its matrix and velocities.  Raises
     CollisionDetected (with time, pair and the partial trajectory) when two
     charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame.
+    nearby pair to blame, and ValueError on a t_end that is not positive and
+    finite or on tolerances that are NaN, negative or both zero.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError("t_end must be positive and finite")
+    if not (rel_tol >= 0 and abs_tol >= 0 and rel_tol + abs_tol > 0):
+        raise ValueError("tolerances must be non-negative and not both zero")
     qs = np.asarray(system.charges, dtype=float)
     zs = np.asarray(system.positions, dtype=complex)
     traj = Trajectory()

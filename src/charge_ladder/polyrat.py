@@ -6,8 +6,10 @@ lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
 run by Kronecker substitution and modular inverses by Newton lifting, both on
 Python integers; the lift stops at a rational reconstruction or, near the
-Hadamard bound, at the resultant.  On top of the ring operations the module
-provides the symbolic primitives everything else is built on:
+Hadamard bound, at the resultant.  A remainder-only Euclid mod a word-size
+prime certifies squarefree and coprime pairs; only the lift folds a cofactor
+from its quotients.  On top of the ring operations the module provides the
+symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -525,33 +527,31 @@ def _primitive(ints: Sequence[int]) -> list[int]:
 # gcd machinery
 #
 # The common case here is certifying *coprimality* of large generated
-# polynomials, so gcd first tries a modular certificate (gcd over GF(p) of
-# degree 0 proves gcd 1 over Q) and only falls back to a primitive
-# pseudo-remainder sequence over Z when the fast path is inconclusive.
+# polynomials, so gcd first tries a modular certificate: Euclid mod p on
+# remainders only, whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen
+# & Gerhard, Modern Computer Algebra, 6.4); invert_mod folds its cofactor from
+# the quotients.  A primitive pseudo-remainder sequence over Z runs when the
+# fast path is inconclusive.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
 
 
-def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> tuple[int, list[int]]:
-    """Extended Euclid over GF(prime), for lead(a) nonzero mod prime.
+def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> tuple[int, list[list[int]], int]:
+    """Euclid over GF(prime) on remainders only, for lead(a) nonzero mod prime.
 
-    Returns the degree of gcd(a, b) and t with t*b = gcd (mod a, prime), the
-    gcd taken monic; a degree of 0 makes t the inverse of b modulo a.
+    Returns the degree of gcd(a, b), the quotients q_1, q_2, ... and the lead
+    of the last nonzero remainder, which the monic gcd is divided by.
     """
     r0, r1 = [c % prime for c in a], [c % prime for c in b]
     while r1 and not r1[-1]:
         r1.pop()
-    t0, t1 = [], [1]
+    quots = []
     while r1:
         quot, rem = _divmod_mod(r0, r1, prime)
+        quots.append(quot)
         r0, r1 = r1, rem
-        t0, t1 = t1, [(x - y) % prime for x, y in
-                      itertools.zip_longest(t0, _kmul(quot, t1), fillvalue=0)]
-        while t1 and not t1[-1]:
-            t1.pop()
-    scale = pow(r0[-1], -1, prime)
-    return len(r0) - 1, [c * scale % prime for c in t0]
+    return len(r0) - 1, quots, r0[-1]
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -718,9 +718,15 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
     for prime in _PRIMES:
         if m[-1] % prime == 0:
             continue
-        deg, s = _euclid_mod(m, num, prime)
+        deg, quots, lead = _euclid_mod(m, num, prime)
         if deg != 0:
             continue  # unlucky prime, or a genuine common factor
+        # s*A = 1 (mod M, prime): A's cofactors t_(k+1) = t_(k-1) - q_k*t_k, over
+        # lead; q_k*t_k outranks t_(k-1) mod prime, so no trailing zero appears
+        t, s = [], [pow(lead, -1, prime)]
+        for quot in quots[:-1]:
+            t, s = s, [(x - y) % prime for x, y in
+                       itertools.zip_longest(t, _kmul(quot, s), fillvalue=0)]
         n, k, res = prime, 1, None  # n = prime**k
         while True:
             if res is None and 2 * n.bit_length() > hadamard:

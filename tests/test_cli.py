@@ -281,6 +281,20 @@ def test_simulate_from_pair_validates_pair(tmp_path, capsys):
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0"],
+    ["--rel-tol", "nan"], ["--abs-tol=-1e-12"], ["--rel-tol", "0", "--abs-tol", "0"],
+])
+def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, capsys, flags):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"positions": [[1, 0], [-1, 0]], "charges": [1, 1]}))
+    out_path = tmp_path / "traj.jsonl"
+    code, out, err = run(capsys, "simulate", "--init", str(init), *flags, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_simulate_needs_input(capsys):
     code, _, err = run(capsys, "simulate", "--t-end", "1")
     assert code == 2

@@ -161,6 +161,22 @@ def test_integrate_rejects_nonpositive_horizon():
         integrate(ChargeSystem([0j], [1.0]), 0.0)
 
 
+@pytest.mark.parametrize("t_end, rel_tol, abs_tol", [
+    (float("nan"), 1e-10, 1e-12),   # t_end <= 0 is False for NaN
+    (float("inf"), 1e-10, 1e-12),   # would make the minimum step infinite
+    (-float("inf"), 1e-10, 1e-12),
+    (1.0, float("nan"), 1e-12),
+    (1.0, 1e-10, float("nan")),
+    (1.0, -1e-10, 1e-12),
+    (1.0, 1e-10, -1e-12),
+    (1.0, 0.0, 0.0),
+])
+def test_integrate_rejects_nonfinite_horizon_and_bad_tolerances(t_end, rel_tol, abs_tol):
+    system = ChargeSystem([1 + 0j, -1 + 0j], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        integrate(system, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+
+
 # -- acceleration identity ----------------------------------------------------------
 
 

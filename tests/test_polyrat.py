@@ -161,6 +161,60 @@ def test_gcd_randomized_divides_both():
         assert got.lead == 1
 
 
+def test_coprimality_certificate_makes_no_product(ladder_chain, monkeypatch):
+    # the modular certificate needs only the gcd degree mod p, never a
+    # Bezout cofactor, so it runs no polynomial product at all
+    calls = []
+    kmul = polyrat._kmul
+    monkeypatch.setattr(polyrat, "_kmul", lambda a, b: calls.append(1) or kmul(a, b))
+    p, q = ladder_chain[4]
+    assert gcd_poly(p, q) == ONE
+    assert is_squarefree(p) and is_squarefree(q)
+    polyrat.require_squarefree_coprime(p, q)
+    assert calls == []
+
+
+def test_euclid_mod_degree_matches_integer_gcd():
+    # coprime pairs and products with a shared factor of degree 1..3, on
+    # every prime: the gcd degree mod p equals that of the PRS over Z
+    rng = random.Random(4409)
+
+    def vec(degree):
+        return [rng.randint(-30, 30) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 30)]
+
+    for shared in (0, 0, 1, 2, 3) * 8:
+        g = vec(shared)
+        a, b = polyrat._kmul(g, vec(rng.randint(1, 5))), polyrat._kmul(g, vec(rng.randint(0, 5)))
+        for prime in polyrat._PRIMES:
+            deg, quots, lead = polyrat._euclid_mod(a, b, prime)
+            assert deg == len(polyrat._int_gcd(a, b)) - 1
+            assert quots and 0 < lead < prime
+
+
+def test_invert_mod_folded_inverse_mod_p(monkeypatch):
+    # the inverse mod p that invert_mod folds from the Euclid quotients, as
+    # handed to the first Newton lift, satisfies s*A = 1 (mod M, p)
+    lift, seen = polyrat._lift, []
+
+    def recorded(a, m, s, n, t):
+        seen.append((a, m, s, n))
+        return lift(a, m, s, n, t)
+
+    monkeypatch.setattr(polyrat, "_lift", recorded)
+    rng = random.Random(5501)
+    for _ in range(30):
+        m = random_poly(rng, rng.randint(1, 7))
+        a = random_poly(rng, rng.randint(0, 8))
+        if (a % m).degree < 1 or gcd_poly(a, m).degree != 0:
+            continue
+        del seen[:]
+        inv = invert_mod(a, m)
+        assert ((inv * a - 1) % m).is_zero
+        num, mod, s, n = seen[0]
+        assert n in polyrat._PRIMES and all(0 <= c < n for c in s)
+        assert polyrat._divmod_mod(polyrat._kmul(num, s), mod, n)[1] == [1]
+
+
 def test_extended_gcd_bezout():
     rng = random.Random(31)
     for _ in range(15):
