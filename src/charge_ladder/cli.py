@@ -8,9 +8,9 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     1  negative outcome (bracket nonzero, integrals obstructed,
        not an equilibrium, system incompatible)
     2  usage error (malformed rationals, unsupported lambda, bad files)
-    3  root-finder failure, or float roots that coincide (equilibrium,
-       simulate --p/--q) on a pair the exact layer accepted as squarefree
-       and coprime
+    3  root-finder failure, including a polynomial float64 cannot hold, or
+       float roots that coincide (equilibrium, simulate --p/--q), on a pair
+       the exact layer accepted as squarefree and coprime
     4  collision detected during simulation
     5  integrator step-size underflow
     6  internal invariant violated (a bug, not a verdict on the input)
@@ -33,7 +33,6 @@ from .dynamics import CollisionDetected, StepSizeUnderflow, integrate
 from .generators import (
     LadderState,
     BracketParams,
-    UnsupportedLambda,
     adler_moser,
     bracket,
     certify_rational_integrals,
@@ -46,9 +45,8 @@ from .numerics import (
     ConvergenceFailure,
     verify_equilibrium,
 )
-from .polyrat import (ExactPoly, InvariantViolation, NotCoprime, NotSquarefree,
-                      _parse_rational, _rational_str)
-from .spectral import FieldRequired, solve_p_given_q
+from .polyrat import ExactPoly, InvariantViolation, _parse_rational, _rational_str
+from .spectral import solve_p_given_q
 
 _CONST_FLAG = re.compile(r"^--(t|tau)(-?\d+)$")
 
@@ -106,9 +104,11 @@ def _emit(obj: dict) -> None:
 
 def cmd_generate(args) -> int:
     constants = args.constants
+    echo = {
+        **{f"t{i}": _rational_str(v) for i, v in sorted(constants.t.items())},
+        **{f"tau{i}": _rational_str(v) for i, v in sorted(constants.tau.items())},
+    }
     if args.family == "adler-moser":
-        if args.index < 0:
-            raise UsageError("adler-moser index must be >= 0")
         if constants.tau:
             raise UsageError("the adler-moser family takes only --tN constants")
         theta = adler_moser(args.index, constants.t)
@@ -117,7 +117,7 @@ def cmd_generate(args) -> int:
             "index": args.index,
             "theta": theta.to_json(),
             "degree": int(theta.degree),
-            "constants": {f"t{i}": _rational_str(v) for i, v in sorted(constants.t.items())},
+            "constants": echo,
         })
         return 0
     p, q = lambda2_ladder(args.index, constants)
@@ -126,12 +126,8 @@ def cmd_generate(args) -> int:
         "index": args.index,
         "p": p.to_json(),
         "q": q.to_json(),
-        "degrees": {"p": int(p.degree) if not p.is_zero else None,
-                    "q": int(q.degree) if not q.is_zero else None},
-        "constants": {
-            **{f"t{i}": _rational_str(v) for i, v in sorted(constants.t.items())},
-            **{f"tau{i}": _rational_str(v) for i, v in sorted(constants.tau.items())},
-        },
+        "degrees": {"p": int(p.degree), "q": int(q.degree)},
+        "constants": echo,
     })
     return 0
 
@@ -299,8 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         # of a pair that passed the exact checks, not from the input.
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, UnsupportedLambda, NotSquarefree, NotCoprime, FieldRequired,
-            ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -134,12 +134,14 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     CollisionDetected (with time, pair and the partial trajectory) when two
     charges meet, StepSizeUnderflow when the controller collapses without a
     nearby pair to blame, and ValueError on a t_end that is not positive and
-    finite or on tolerances that are NaN, negative or both zero.
+    finite or on tolerances that are not finite, negative or both zero.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
     if not (rel_tol >= 0 and abs_tol >= 0 and rel_tol + abs_tol > 0):
         raise ValueError("tolerances must be non-negative and not both zero")
+    if math.inf in (rel_tol, abs_tol):
+        raise ValueError("tolerances must be finite")
     qs = np.asarray(system.charges, dtype=float)
     zs = np.asarray(system.positions, dtype=complex)
     traj = Trajectory()
@@ -233,7 +235,7 @@ def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
     lam = Fraction(lam)
     system = ChargeSystem.from_pair(p, q, lam)
     system = ChargeSystem(system.positions, [-2.0 * c for c in system.charges])
-    p, q = p.monic() if p.degree > 0 else ExactPoly.one(), q.monic() if q.degree > 0 else ExactPoly.one()
+    p, q = p.monic(), q.monic()
     n, m = int(p.degree), int(q.degree)
     traj = integrate(system, dt, rel_tol=1e-12, abs_tol=1e-14)
     moved = traj.final.system.positions

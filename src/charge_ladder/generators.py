@@ -105,7 +105,7 @@ def _coerce_state(index: int, constants) -> LadderState:
     if constants is None:
         return LadderState(index)
     if isinstance(constants, LadderState):
-        return LadderState(index, constants.t, constants.tau)
+        return constants
     if isinstance(constants, Mapping):
         return LadderState(index, constants)
     raise TypeError("constants must be a LadderState or a mapping of step -> rational")

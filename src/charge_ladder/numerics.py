@@ -43,7 +43,7 @@ class CollisionError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Root polishing failed to meet the residual target."""
+    """Root polishing failed, or float64 cannot hold the polynomial or its roots."""
 
 
 class MultipleRootWarning(UserWarning):
@@ -165,42 +165,48 @@ def roots(p: ExactPoly) -> list[complex]:
     Companion-matrix eigenvalues provide the initial guess; Aberth-Ehrlich
     simultaneous iteration in extended precision polishes until every residual
     satisfies |p(r)| <= DEFAULT_ROOT_TOL * max|coeff| * max(1, |r|)**deg, and
-    raises ConvergenceFailure when 120 iterations do not get there.
-    Near-coincident roots trigger MultipleRootWarning (generated families are
-    squarefree, so this flags an upstream problem rather than a legitimate
-    outcome).
+    raises ConvergenceFailure when 120 iterations do not get there or float64
+    cannot hold the scaled lead coefficient or the roots.  Near-coincident
+    roots trigger MultipleRootWarning (generated families are squarefree, so
+    this flags an upstream problem rather than a legitimate outcome).
     """
     deg = p.degree
     if deg < 1:
         raise ValueError("root extraction needs degree >= 1")
     scale = max(abs(c) for c in p.coeffs)
     cf = np.array([float(c / scale) for c in p.coeffs], dtype=float)
-    if deg == 1:
-        return [complex(-cf[0] / cf[1])]
-    seeds = np.roots(cf[::-1]).astype(complex)
-    zs = seeds.astype(np.clongdouble)
-    coeffs = cf.astype(np.longdouble)
-    dcoeffs = (cf[1:] * np.arange(1, len(cf))).astype(np.longdouble)
-    n = int(deg)
-    for it in range(121):
-        pv = _horner(coeffs, zs)
-        bound = DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(zs).astype(float)) ** n
-        if np.all(np.abs(pv).astype(float) <= bound):
-            break
-        if it == 120:
-            raise ConvergenceFailure(
-                f"root polishing stalled; worst residual {float(np.abs(pv).max()):.3e}")
-        dv = _horner(dcoeffs, zs)
-        dv = np.where(dv == 0, np.clongdouble(1e-300), dv)
-        newton = pv / dv
-        diff = zs[:, None] - zs[None, :]
-        np.fill_diagonal(diff, np.clongdouble(np.inf))
-        repel = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - newton * repel
-        denom = np.where(denom == 0, np.clongdouble(1e-300), denom)
-        step = newton / denom
-        zs = zs - step
-    out = zs.astype(complex)
+    if not cf[-1]:  # np.roots would drop it and return fewer roots
+        raise ConvergenceFailure("float64 cannot hold the roots: the lead coefficient scales to 0")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if deg == 1:
+                return [complex(-cf[0] / cf[1])]
+            seeds = np.roots(cf[::-1]).astype(complex)
+            zs = seeds.astype(np.clongdouble)
+            coeffs = cf.astype(np.longdouble)
+            dcoeffs = (cf[1:] * np.arange(1, len(cf))).astype(np.longdouble)
+            n = int(deg)
+            for it in range(121):
+                pv = _horner(coeffs, zs)
+                bound = DEFAULT_ROOT_TOL * np.maximum(1.0, np.abs(zs).astype(float)) ** n
+                if np.all(np.abs(pv).astype(float) <= bound):
+                    break
+                if it == 120:
+                    raise ConvergenceFailure(
+                        f"root polishing stalled; worst residual {float(np.abs(pv).max()):.3e}")
+                dv = _horner(dcoeffs, zs)
+                dv = np.where(dv == 0, np.clongdouble(1e-300), dv)
+                newton = pv / dv
+                diff = zs[:, None] - zs[None, :]
+                np.fill_diagonal(diff, np.clongdouble(np.inf))
+                repel = (1.0 / diff).sum(axis=1)
+                denom = 1.0 - newton * repel
+                denom = np.where(denom == 0, np.clongdouble(1e-300), denom)
+                step = newton / denom
+                zs = zs - step
+            out = zs.astype(complex)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceFailure(f"float64 cannot hold the roots: {exc}") from exc
     spread = max(float(np.abs(out).max()), 1.0)
     if closest_pair(out)[0] < 1e-7 * spread:
         warnings.warn("near-coincident roots detected", MultipleRootWarning)
@@ -249,13 +255,17 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
 
     Reports every force, the largest force norm against tol, the float64
     residual |p(r)| or |q(r)| of each root in system order, and the system
-    itself.  Float roots that coincide raise CollisionError.
+    itself.  Float roots that coincide raise CollisionError, and a pair
+    float64 cannot hold raises ConvergenceFailure.
     """
     system = ChargeSystem.from_pair(p, q, lam, k)
     deg_p = int(p.degree)
     residuals: list[float] = []
-    for poly, zs in ((p, system.positions[:deg_p]), (q, system.positions[deg_p:])):
-        residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
+    try:
+        for poly, zs in ((p, system.positions[:deg_p]), (q, system.positions[deg_p:])):
+            residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
+    except OverflowError as exc:
+        raise ConvergenceFailure(f"float64 cannot hold the coefficients: {exc}") from exc
     forces = force(system)
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(

@@ -493,8 +493,9 @@ def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
 
 def _divmod_mod(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer vectors over Z/n, for lead(b) a unit
-    mod n; both reduced into [0, n) with trailing zeros stripped.  Only the
-    entry that fixes the next quotient digit is reduced inside the loop."""
+    mod n; both reduced into [0, n), the remainder without trailing zeros and
+    the quotient topped by lead(a)/lead(b).  Only the entry that fixes the
+    next quotient digit is reduced inside the loop."""
     inv = pow(b[-1], -1, n)
     db = len(b) - 1
     rem = list(a)
@@ -507,8 +508,6 @@ def _divmod_mod(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], 
     rem = [c % n for c in rem[:db]]
     while rem and not rem[-1]:
         rem.pop()
-    while quot and not quot[-1]:
-        quot.pop()
     return quot, rem
 
 
@@ -978,22 +977,17 @@ def integrate_rational(num: ExactPoly, den: ExactPoly) -> RationalIntegral:
 
 
 def residue_divisibility(p: ExactPoly, q: ExactPoly, lam: RationalLike) -> bool:
-    """True iff p divides p''q - 2*lam*p'q' exactly.
+    """True iff p divides p''q - 2*lam*p'q' exactly, for p nonzero and
+    squarefree (else NotSquarefree) and coprime to a nonzero q (else NotCoprime).
 
-    For squarefree p coprime to q this is equivalent to all residues of
-    q**(2*lam)/p**2 at roots of p vanishing.  The mirrored test is
+    For such p and q this is equivalent to all residues of q**(2*lam)/p**2
+    at roots of p vanishing.  The mirrored test is
     residue_divisibility(q, p, 1/lam).
     """
     lam = as_fraction(lam)
-    if p.is_zero:
-        raise NotSquarefree("p must be a nonzero squarefree polynomial")
     if not is_squarefree(p):
-        raise NotSquarefree("p has a repeated root")
+        raise NotSquarefree("p must be nonzero and squarefree")
     if q.is_zero or gcd_poly(p, q).degree != 0:
         raise NotCoprime("p and q must be coprime (and q nonzero)")
     combo = p.derivative(2) * q - 2 * lam * p.derivative() * q.derivative()
-    if combo.is_zero:
-        return True
-    if p.degree == 0:
-        return True
     return (combo % p).is_zero

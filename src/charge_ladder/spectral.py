@@ -85,8 +85,6 @@ def ba_lambda1(n: int, k: RationalLike, psi_constants=None) -> FieldPair:
     k = as_fraction(k)
     if k == 0:
         raise FieldRequired("field strength k must be nonzero; use the ladder generators at k=0")
-    if n < 0:
-        raise ValueError("chain length must be >= 0")
     if n == 0:
         return FieldPair(ExactPoly.one(), ExactPoly.one(), k, 1)
     q, p = _prefix_wronskians(psi_chain(n, psi_constants) + [ExactPoly.one()], k)[-2:]

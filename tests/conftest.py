@@ -33,6 +33,17 @@ def leibniz_det(matrix) -> ExactPoly:
     return total
 
 
+Z = ExactPoly.x()
+
+# valid (squarefree, coprime) pairs (p, q, lam) that float64 cannot hold
+FLOAT64_BEYOND_PAIRS = [
+    (Z ** 2 / 10 ** 400 + Z + 1, Z + 5, 2),  # the lead scales to 0
+    (Z ** 3 / 10 ** 320 + Z + 1, Z + 5, 2),  # a subnormal lead
+    (Z / 10 ** 400 + 1, Z + 5, 2),  # linear, the lead scales to 0
+    (10 ** 400 * (Z ** 3 + 1), Z, 1),  # roots in range, coefficients past it
+]
+
+
 def random_ladder_state(rng: random.Random, i: int) -> LadderState:
     """Generic constants for every step |i| uses; nonzero to stay squarefree."""
     steps = range(1, i + 1) if i >= 0 else range(-1, i - 1, -1)

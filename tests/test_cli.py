@@ -8,6 +8,7 @@ from charge_ladder.cli import main
 from charge_ladder.generators import BracketParams, bracket
 from charge_ladder.numerics import MultipleRootWarning
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
+from conftest import FLOAT64_BEYOND_PAIRS
 
 Z = ExactPoly.x()
 
@@ -16,6 +17,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def reject_non_finite(token):
+    raise AssertionError(f"{token} is not strict JSON")
 
 
 def write_poly(tmp_path, name, poly):
@@ -284,6 +289,7 @@ def test_simulate_from_pair_validates_pair(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0"],
     ["--rel-tol", "nan"], ["--abs-tol=-1e-12"], ["--rel-tol", "0", "--abs-tol", "0"],
+    ["--rel-tol", "inf"], ["--abs-tol", "inf"],
 ])
 def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, capsys, flags):
     init = tmp_path / "init.json"
@@ -293,6 +299,46 @@ def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, 
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert not out_path.exists()
+
+
+def test_simulate_step_underflow_exit_5(tmp_path, capsys):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"positions": [[1, 0], [-1, 0], [0, 1]], "charges": [1, 1, -2]}))
+    code, out, _ = run(capsys, "simulate", "--init", str(init), "--rel-tol", "0",
+                       "--abs-tol", "1e-100")
+    assert code == 5
+    assert json.loads(out)["status"] == "step-underflow"
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["generate", "lambda2", "1", "--t1"], None, "flag --t1 needs a value"),
+    (["generate", "adler-moser", "-1"], None, "Adler-Moser index must be >= 0"),
+    (["simulate", "--init", "missing.json"], None, "cannot read initial condition"),
+    (["equilibrium", "p.json", "q.json"], "1e-8x", "CHARGE_LADDER_TOL is not a number"),
+])
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
+    monkeypatch.chdir(tmp_path)
+    write_poly(tmp_path, "p.json", Z ** 5 + 1)
+    write_poly(tmp_path, "q.json", Z)
+    if env is not None:
+        monkeypatch.setenv("CHARGE_LADDER_TOL", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("p, q, lam", FLOAT64_BEYOND_PAIRS)
+def test_equilibrium_float64_cannot_hold_exits_3(tmp_path, capsys, p, q, lam):
+    code, out, err = run(capsys, "equilibrium", write_poly(tmp_path, "p.json", p),
+                         write_poly(tmp_path, "q.json", q), "--lam", str(lam))
+    if p.lead < 1:  # the lead does not survive scaling, so neither do the roots
+        assert (code, out) == (3, "")
+    else:  # the roots do: a verdict in strict JSON, or exit 3
+        assert code in (0, 3)
+        if code == 0:
+            assert json.loads(out, parse_constant=reject_non_finite)["equilibrium"]
+    if code == 3:
+        assert err.startswith("error: float64 cannot hold")
 
 
 def test_simulate_needs_input(capsys):

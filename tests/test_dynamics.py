@@ -5,6 +5,7 @@ import pytest
 
 from charge_ladder.dynamics import (
     CollisionDetected,
+    StepSizeUnderflow,
     acceleration_residual,
     bilinear_residual,
     conserved_quantity,
@@ -156,6 +157,21 @@ def test_flow_consistency_restart():
     assert gap < 1e-9
 
 
+def test_integrate_single_charge_stays_put():
+    traj = integrate(ChargeSystem([1j], [1.0]), 1.0)
+    assert traj.final.t == 1.0
+    assert traj.final.system.positions == [1j]
+
+
+def test_integrate_step_size_underflow():
+    # pure absolute control far below double resolution of |z| ~ 1: every
+    # step is rejected until the step falls under its floor, with no pair
+    # close enough to blame
+    system = ChargeSystem([1, -1, 1j], [1.0, 1.0, -2.0])
+    with pytest.raises(StepSizeUnderflow):
+        integrate(system, 1.0, rel_tol=0.0, abs_tol=1e-100)
+
+
 def test_integrate_rejects_nonpositive_horizon():
     with pytest.raises(ValueError):
         integrate(ChargeSystem([0j], [1.0]), 0.0)
@@ -167,6 +183,8 @@ def test_integrate_rejects_nonpositive_horizon():
     (-float("inf"), 1e-10, 1e-12),
     (1.0, float("nan"), 1e-12),
     (1.0, 1e-10, float("nan")),
+    (1.0, float("inf"), 1e-12),     # would switch error control off
+    (1.0, 1e-10, float("inf")),
     (1.0, -1e-10, 1e-12),
     (1.0, 1e-10, -1e-12),
     (1.0, 0.0, 0.0),

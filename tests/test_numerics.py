@@ -2,13 +2,16 @@ import cmath
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from charge_ladder import numerics
 from charge_ladder.generators import LadderState, adler_moser, lambda2_ladder
 from charge_ladder.numerics import (
     DEFAULT_ROOT_TOL,
     ChargeSystem,
     CollisionError,
+    ConvergenceFailure,
     MultipleRootWarning,
     force,
     roots,
@@ -16,7 +19,7 @@ from charge_ladder.numerics import (
     verify_equilibrium,
 )
 from charge_ladder.polyrat import ExactPoly, NotCoprime, NotSquarefree
-from conftest import random_ladder_state
+from conftest import FLOAT64_BEYOND_PAIRS, random_ladder_state
 
 Z = ExactPoly.x()
 
@@ -68,6 +71,44 @@ def test_roots_requires_degree():
 def test_roots_multiple_root_warning():
     with pytest.warns(MultipleRootWarning):
         roots(Z ** 2 - 2 * Z + 1)
+
+
+def counted_horner(monkeypatch) -> list:
+    horner, calls = numerics._horner, []
+    monkeypatch.setattr(numerics, "_horner", lambda c, z: calls.append(1) or horner(c, z))
+    return calls
+
+
+def test_roots_polish_steps_from_perturbed_seeds(monkeypatch):
+    # the companion seeds meet the residual bound at once on every input the
+    # package generates; seeds 1e-6 off make the Aberth loop take steps
+    exact = [cmath.exp(1j * cmath.pi * (2 * m + 1) / 5) for m in range(5)]
+    monkeypatch.setattr(np, "roots", lambda c: np.array(exact) + 1e-6)
+    calls = counted_horner(monkeypatch)
+    got = sorted_roots(roots(Z ** 5 + 1))
+    assert len(calls) >= 3  # p, p' and p again: one step at least
+    assert max(abs(a - b) for a, b in zip(got, sorted_roots(exact))) < 1e-12
+
+
+def test_roots_polish_gives_up_after_120_iterations(monkeypatch):
+    monkeypatch.setattr(numerics, "DEFAULT_ROOT_TOL", 0.0)
+    calls = counted_horner(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="stalled"):
+        roots(Z ** 5 + 1)
+    assert len(calls) == 2 * 120 + 1
+
+
+@pytest.mark.parametrize("p", [p for p, _, _ in FLOAT64_BEYOND_PAIRS[:3]])
+def test_roots_float64_cannot_hold_fail_loudly(p):
+    with pytest.raises(ConvergenceFailure, match="float64 cannot hold"):
+        roots(p)
+
+
+@pytest.mark.parametrize("p, q, lam", FLOAT64_BEYOND_PAIRS)
+def test_verify_equilibrium_float64_cannot_hold_fails_loudly(p, q, lam):
+    # the roots of the first three, the residuals of the last
+    with pytest.raises(ConvergenceFailure, match="float64 cannot hold"):
+        verify_equilibrium(p, q, lam)
 
 
 # -- forces ---------------------------------------------------------------------

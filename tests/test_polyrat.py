@@ -282,6 +282,17 @@ def test_invert_mod_read_off_fails_then_doubles(monkeypatch):
     assert resultants == [49]
 
 
+def test_invert_mod_falls_back_to_extended_gcd_when_every_prime_is_unlucky(monkeypatch):
+    # res(z^2 - P, z) = -P with P the product of the lift's primes: each of
+    # them divides the resultant, so none certifies coprimality and exact
+    # Euclid over Q decides it, once
+    big = math.prod(polyrat._PRIMES)
+    extended_gcd, calls = polyrat.extended_gcd, []
+    monkeypatch.setattr(polyrat, "extended_gcd", lambda a, b: calls.append(1) or extended_gcd(a, b))
+    assert invert_mod(Z, Z ** 2 - big) == Z / big
+    assert len(calls) == 1
+
+
 def sylvester(a, b):
     """Sylvester matrix of integer vectors a, b (ascending order) as constant
     polynomials: deg b shifted rows of a over deg a shifted rows of b."""
@@ -558,11 +569,14 @@ def test_residue_divisibility_examples():
     # mirrored test of the pair (z, z^2+1) at lambda 2 swaps roles and inverts lambda
     assert residue_divisibility(Z ** 2 + 1, Z, F(1, 2))
     assert not residue_divisibility(Z ** 2 - 1, Z, 1)
+    # a nonzero constant p divides everything
+    assert residue_divisibility(ExactPoly.constant(3), Z + 1, 2)
 
 
 def test_residue_divisibility_preconditions():
-    with pytest.raises(NotSquarefree):
-        residue_divisibility(Z ** 2, Z + 1, 1)
+    for p in (Z ** 2, ExactPoly.zero()):
+        with pytest.raises(NotSquarefree, match="p must be nonzero and squarefree"):
+            residue_divisibility(p, Z + 1, 1)
     with pytest.raises(NotCoprime):
         residue_divisibility(Z ** 2 - 1, Z - 1, 1)
 
