@@ -7,7 +7,8 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     0  success / criterion met
     1  negative outcome (bracket nonzero, integrals obstructed,
        not an equilibrium, system incompatible)
-    2  usage error (malformed rationals, unsupported lambda, bad files)
+    2  usage error (malformed rationals, unsupported lambda, bad files,
+       non-finite charge systems, invalid tolerances)
     3  root-finder failure, including a polynomial float64 cannot hold, or
        float roots that coincide (equilibrium, simulate --p/--q), on a pair
        the exact layer accepted as squarefree and coprime
@@ -172,6 +173,8 @@ def cmd_solve_field(args) -> int:
 
 def _initial_system(args) -> ChargeSystem:
     if args.init:
+        if args.p or args.q:
+            raise UsageError("simulate takes either --init or --p and --q, not both")
         try:
             with open(args.init) as fh:
                 return ChargeSystem.from_json(json.load(fh))

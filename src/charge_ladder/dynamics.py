@@ -36,6 +36,7 @@ from .numerics import (
     ChargeSystem,
     _inverse_differences,
     _nearest,
+    _require_finite,
     _separated,
     closest_pair,
     to_floats,
@@ -133,8 +134,9 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     is the closest pair) from its matrix and velocities.  Raises
     CollisionDetected (with time, pair and the partial trajectory) when two
     charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame, and ValueError on a t_end that is not positive and
-    finite or on tolerances that are not finite, negative or both zero.
+    nearby pair to blame, and ValueError on a non-finite system, on a t_end
+    that is not positive and finite or on tolerances that are not finite,
+    negative or both zero.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -142,6 +144,7 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
         raise ValueError("tolerances must be non-negative and not both zero")
     if math.inf in (rel_tol, abs_tol):
         raise ValueError("tolerances must be finite")
+    _require_finite(system)
     qs = np.asarray(system.charges, dtype=float)
     zs = np.asarray(system.positions, dtype=complex)
     traj = Trajectory()
@@ -177,7 +180,8 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
             ks.append(w_new @ qs)
         err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
         sc = abs_tol + rel_tol * np.maximum(np.abs(zs), np.abs(y_new))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / sc) ** 2))) if len(zs) else 0.0
+        # a ratio past 1e150 would square past float64; the step is rejected either way
+        err = float(np.sqrt(np.mean(np.minimum(np.abs(err_vec / sc), 1e150) ** 2))) if len(zs) else 0.0
         if err <= 1.0:
             t += h
             zs, w, k1 = y_new, w_new, ks[-1]

@@ -10,6 +10,7 @@ set coincides with critical points of the logarithmic energy.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,15 +77,22 @@ class ChargeSystem:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ChargeSystem":
+    def from_json(cls, obj: Mapping) -> "ChargeSystem":
+        """The system `to_json` writes (the field may also be one number).
+        Raises ValueError on any other shape and on non-finite entries."""
+        if not (isinstance(obj, Mapping) and isinstance(obj.get("positions"), (list, tuple))
+                and isinstance(obj.get("charges"), (list, tuple))):
+            raise ValueError("a charge system is an object with 'positions' and 'charges' arrays")
         fld = obj.get("field", 0.0)
-        if isinstance(fld, (list, tuple)):
-            fld = complex(fld[0], fld[1])
-        return cls(
-            positions=[complex(re, im) for re, im in obj["positions"]],
-            charges=list(obj["charges"]),
-            field=fld,
-        )
+        try:
+            if isinstance(fld, (list, tuple)):
+                re, im = fld
+                fld = complex(re, im)
+            system = cls([complex(re, im) for re, im in obj["positions"]], obj["charges"], fld)
+        except (TypeError, OverflowError) as exc:  # null, an array, a string, an int past float64
+            raise ValueError(f"not a charge system: {exc}") from exc
+        _require_finite(system)
+        return system
 
     @classmethod
     def from_pair(cls, p: ExactPoly, q: ExactPoly, lam, k=0) -> "ChargeSystem":
@@ -102,6 +110,14 @@ class ChargeSystem:
         system = cls(positions, charges, field=fld)
         _separated(system)
         return system
+
+
+def _require_finite(system: ChargeSystem) -> None:
+    """ValueError unless every position, charge and the field are finite.
+    Called where a system enters (from_json, integrate), not on construction:
+    integrate builds one for every step it records."""
+    if not np.isfinite([*system.positions, *system.charges, system.field]).all():
+        raise ValueError("positions, charges and field must be finite")
 
 
 def to_floats(p: ExactPoly) -> np.ndarray:
@@ -255,9 +271,12 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
 
     Reports every force, the largest force norm against tol, the float64
     residual |p(r)| or |q(r)| of each root in system order, and the system
-    itself.  Float roots that coincide raise CollisionError, and a pair
-    float64 cannot hold raises ConvergenceFailure.
+    itself.  Float roots that coincide raise CollisionError, a pair float64
+    cannot hold ConvergenceFailure, and a tol that is not positive and finite
+    ValueError.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     system = ChargeSystem.from_pair(p, q, lam, k)
     deg_p = int(p.degree)
     residuals: list[float] = []

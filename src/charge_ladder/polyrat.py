@@ -341,9 +341,11 @@ class ExactPoly:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ExactPoly":
-        if not isinstance(obj, Mapping) or "coeffs" not in obj:
-            raise ValueError("polynomial JSON must be an object with a 'coeffs' array")
-        return cls(tuple(_parse_rational(c) for c in obj["coeffs"]))
+        coeffs = obj.get("coeffs") if isinstance(obj, Mapping) else None
+        if not (isinstance(coeffs, (list, tuple)) and all(isinstance(c, (str, int, Fraction))
+                or isinstance(c, float) and math.isfinite(c) for c in coeffs)):
+            raise ValueError("polynomial JSON must be an object with a 'coeffs' array of rationals")
+        return cls(tuple(_parse_rational(c) for c in coeffs))
 
 
 # Decimal converts between int and digit strings without the interpreter's
@@ -616,16 +618,16 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
 # finally *verified exactly* (von zur Gathen & Gerhard, Modern Computer
 # Algebra, 5.10, 6.11 and 9).  A prime p not dividing lead(M) with
 # gcd(M, A) = 1 mod p makes res(M, A) a p-adic unit, so the inverse exists
-# with no p in its denominators.  The lift has two stops.  After each
-# doubling, Wang's reconstruction reads it back as rationals over one
-# denominator, which works once p**(2**j) exceeds twice the square of their
-# size: early for a small inverse.  Before the doubling that would pass the
-# Hadamard bound of res(M, A), the resultant is computed instead: by
-# U*M + V*A = res(M, A) the inverse is V/res with V integral, so the lift
-# goes on only to bits(res) plus one word and reads V off as symmetric
-# residues.  If V is larger than that, the check fails and doubling with Wang
-# resumes: the lift needs no precision cap.  Exact Euclid over Q runs only
-# when no prime certifies coprimality (a common factor, or unlucky primes).
+# with no p in its denominators.  The lift has two stops.  Below the Hadamard
+# bound of res(M, A), Wang's reconstruction reads it back after each doubling
+# as rationals over one denominator, which works once p**(2**j) exceeds twice
+# the square of their size: early for a small inverse.  Before the doubling
+# that would pass the bound, the resultant is computed instead: by
+# U*M + V*A = res(M, A) the inverse is V/res with V integral, so the lift goes
+# no further than bits(res) plus one word before it reads V off as symmetric
+# residues.  If V is larger, the check fails and the lift doubles and reads V
+# again: it needs no precision cap.  Exact Euclid over Q runs only when no
+# prime certifies coprimality (a common factor, or unlucky primes).
 
 
 def _lift(a: Sequence[int], m: Sequence[int], s: list[int], n: int, t: int) -> tuple[list[int], int]:
@@ -729,16 +731,14 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         n, k, res = prime, 1, None  # n = prime**k
         while True:
             if res is None and 2 * n.bit_length() > hadamard:
-                # the resultant stop: V = res*s mod prime**j past bits(res) + a word
+                # the resultant stop: lift to prime**j past bits(res) plus a word
                 res = _resultant(m, num)
-                j = -(-(res.bit_length() + 64) // (prime.bit_length() - 1))
-                if j > k:
-                    (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
-                big = prime ** j
-                found = [c - big if c > big >> 1 else c for c in (x * res % big for x in s)], res
+                j = max(k, -(-(res.bit_length() + 64) // (prime.bit_length() - 1)))
+                (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
             else:
                 (s, n), k = _lift(num, m, s, n, n), 2 * k
-                found = _reconstruct(s, n)
+            found = _reconstruct(s, n) if res is None else (
+                [c - n if c > n >> 1 else c for c in (x * res % n for x in s)], res)
             if found is not None:
                 candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
                 if ((candidate * a - 1) % modulus).is_zero:

@@ -310,16 +310,56 @@ def test_simulate_step_underflow_exit_5(tmp_path, capsys):
     assert json.loads(out)["status"] == "step-underflow"
 
 
+# JSON input files by name: all but init.json of the wrong shape or with
+# non-finite numbers
+MALFORMED = {
+    "coeffs-int.json": '{"coeffs": 5}',
+    "coeffs-null.json": '{"coeffs": [null, 1]}',
+    "coeffs-array.json": '{"coeffs": [[1], 1]}',
+    "coeffs-string.json": '{"coeffs": "12"}',  # a string, not an array of digits
+    "coeffs-inf.json": '{"coeffs": [1e400, 1]}',
+    "field-short.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], "field": [1]}',
+    "charges-int.json": '{"positions": [[1, 0], [-1, 0]], "charges": 5}',
+    "positions-int.json": '{"positions": 3, "charges": [1, 1]}',
+    "charge-null.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, null]}',
+    "position-string.json": '{"positions": [["x", 0], [-1, 0]], "charges": [1, 1]}',
+    "system-array.json": '[[1, 0], [-1, 0]]',
+    "position-int.json": '{"positions": [[1%s, 0], [-1, 0]], "charges": [1, 1]}' % ("0" * 400),
+    "position-inf.json": '{"positions": [[1e400, 0], [-1, 0]], "charges": [1, 1]}',
+    "position-nan.json": '{"positions": [[NaN, 0], [-1, 0]], "charges": [1, 1]}',
+    "charge-inf.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1e400, 1]}',
+    "field-inf.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], "field": [0, 1e400]}',
+    "init.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1]}',
+}
+
+
 @pytest.mark.parametrize("argv, env, message", [
     (["generate", "lambda2", "1", "--t1"], None, "flag --t1 needs a value"),
     (["generate", "adler-moser", "-1"], None, "Adler-Moser index must be >= 0"),
     (["simulate", "--init", "missing.json"], None, "cannot read initial condition"),
     (["equilibrium", "p.json", "q.json"], "1e-8x", "CHARGE_LADDER_TOL is not a number"),
+    *((["certify", name, "q.json"], None, f"cannot read polynomial from {name}: polynomial JSON")
+      for name in MALFORMED if name.startswith("coeffs-")),
+    *((["simulate", "--init", name], None, f"cannot read initial condition from {name}")
+      for name in ("field-short.json", "charges-int.json", "positions-int.json",
+                   "charge-null.json", "position-string.json", "system-array.json",
+                   "position-int.json")),
+    *((["simulate", "--init", name], None,
+       f"cannot read initial condition from {name}: positions, charges and field must be finite")
+      for name in ("position-inf.json", "position-nan.json", "charge-inf.json", "field-inf.json")),
+    (["simulate", "--init", "init.json", "--p", "p.json"], None, "simulate takes either --init"),
+    (["simulate", "--init", "init.json", "--q", "q.json"], None, "simulate takes either --init"),
+    *((["equilibrium", "p.json", "q.json", "--tol", tol], None, "tol must be positive and finite")
+      for tol in ("nan", "inf", "0", "-1")),
+    (["equilibrium", "p.json", "q.json"], "nan", "tol must be positive and finite"),
+    (["equilibrium", "p.json", "q.json"], "inf", "tol must be positive and finite"),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
     monkeypatch.chdir(tmp_path)
     write_poly(tmp_path, "p.json", Z ** 5 + 1)
     write_poly(tmp_path, "q.json", Z)
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_text(text)
     if env is not None:
         monkeypatch.setenv("CHARGE_LADDER_TOL", env)
     code, out, err = run(capsys, *argv)

@@ -166,10 +166,12 @@ def test_integrate_single_charge_stays_put():
 def test_integrate_step_size_underflow():
     # pure absolute control far below double resolution of |z| ~ 1: every
     # step is rejected until the step falls under its floor, with no pair
-    # close enough to blame
+    # close enough to blame.  Below about 1e-160 the error ratios square past
+    # float64, which must reject the step without a RuntimeWarning.
     system = ChargeSystem([1, -1, 1j], [1.0, 1.0, -2.0])
-    with pytest.raises(StepSizeUnderflow):
-        integrate(system, 1.0, rel_tol=0.0, abs_tol=1e-100)
+    for abs_tol in (1e-100, 1e-170, 1e-200):
+        with pytest.raises(StepSizeUnderflow):
+            integrate(system, 1.0, rel_tol=0.0, abs_tol=abs_tol)
 
 
 def test_integrate_rejects_nonpositive_horizon():
@@ -193,6 +195,17 @@ def test_integrate_rejects_nonfinite_horizon_and_bad_tolerances(t_end, rel_tol, 
     system = ChargeSystem([1 + 0j, -1 + 0j], [1.0, 1.0])
     with pytest.raises(ValueError):
         integrate(system, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize("system", [
+    ChargeSystem([np.inf, -1], [1.0, 1.0]),
+    ChargeSystem([complex(1, np.nan), -1], [1.0, 1.0]),
+    ChargeSystem([1, -1], [np.inf, 1.0]),
+    ChargeSystem([1, -1], [1.0, 1.0], field=complex(0, -np.inf)),
+])
+def test_integrate_rejects_nonfinite_system(system):
+    with pytest.raises(ValueError, match="positions, charges and field must be finite"):
+        integrate(system, 1.0)
 
 
 # -- acceleration identity ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 from fractions import Fraction as F
 
@@ -201,6 +202,23 @@ def test_verify_equilibrium_preconditions():
             build(Z + 1, ExactPoly.zero(), 1)
         with pytest.raises(NotCoprime, match="p and q share a root"):
             build(Z ** 2 - 1, Z - 1, 1)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_equilibrium(Z ** 5 + 1, Z, 2, tol=tol)
+
+
+def test_charge_system_json():
+    system = ChargeSystem([1 + 2j, -0.5], [1.0, -2.0], field=0.25j)
+    assert ChargeSystem.from_json(json.loads(json.dumps(system.to_json()))) == system
+    assert ChargeSystem.from_json({"positions": [[1, 0]], "charges": [1], "field": 2}).field == 2
+    for blob in ([], {"positions": [[1, 0]]}, {"positions": [[1, 0]], "charges": [None]},
+                 {"positions": [[1, 0, 0]], "charges": [1]}, {"positions": [[1, 0]], "charges": "1"},
+                 {"positions": [[1, 0]], "charges": [1], "field": None},
+                 {"positions": [[1, np.inf]], "charges": [1]},
+                 {"positions": [[1, 0]], "charges": [np.nan]},
+                 {"positions": [[1, 0]], "charges": [1], "field": [np.inf, 0]}):
+        with pytest.raises(ValueError):
+            ChargeSystem.from_json(blob)
 
 
 def test_report_echoes_tolerances_and_serializes():

@@ -134,6 +134,11 @@ def test_json_round_trip():
     p = ExactPoly([F(-1, 2), 0, F(7, 3), 1])
     assert ExactPoly.from_json(p.to_json()) == p
     assert p.to_json()["coeffs"] == ["-1/2", "0", "7/3", "1"]
+    assert ExactPoly.from_json({"coeffs": [1, 0.5, "-2/3"]}) == ExactPoly([1, F(1, 2), F(-2, 3)])
+    for blob in ([1, 2], {"var": "z"}, {"coeffs": 5}, {"coeffs": "12"}, {"coeffs": [None, 1]},
+                 {"coeffs": [[1], 1]}, {"coeffs": [math.inf]}, {"coeffs": [math.nan]}, {"coeffs": ["1/0"]}):
+        with pytest.raises(ValueError):
+            ExactPoly.from_json(blob)
 
 
 # -- gcd ----------------------------------------------------------------------
@@ -242,44 +247,61 @@ def test_invert_mod():
         invert_mod((Z - c) * (Z + 1), (Z - c) * (Z ** 2 + 2))
 
 
-def test_invert_mod_lifts_past_2_18_bits(monkeypatch):
-    # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient,
-    # so the lift runs to about 2^20 bits; the exact Euclidean route is never
-    # taken
+def recorded_lift_stops(monkeypatch):
+    """Patch out extended_gcd and log the lift's steps in call order: "wang"
+    for each reconstruction, "double" for each Newton lift that doubles the
+    precision and the value of each resultant."""
+    calls = []
+    reconstruct, resultant, lift = polyrat._reconstruct, polyrat._resultant, polyrat._lift
+
     def unreachable(*args):
         raise AssertionError("extended_gcd called on a coprime pair")
 
+    def recorded_lift(a, m, s, n, t):
+        if t == n:
+            calls.append("double")
+        return lift(a, m, s, n, t)
+
     monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
-    # b is a power of the lift's prime, so below the final precision every
-    # residue reads back at once.  The lift has two stops: Wang's
-    # reconstruction after each doubling, and the resultant stop before the
-    # doubling that would pass the Hadamard bound (about 2*268400 bits).
-    # There res = 1 while V = 1 - b*z, so V read off modulo the prime's
-    # square fails the exact check and the doubling after it ends at Wang
+    monkeypatch.setattr(polyrat, "_lift", recorded_lift)
+    monkeypatch.setattr(polyrat, "_reconstruct", lambda *args: calls.append("wang") or reconstruct(*args))
+    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
+    return calls
+
+
+def test_invert_mod_lifts_past_2_18_bits(monkeypatch):
+    # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient,
+    # so the lift runs to about 2^19 bits; the exact Euclidean route is never
+    # taken.  b is a power of the lift's prime, so below the final precision
+    # every residue reads back at once, as 1.  Wang's reconstruction runs
+    # after each doubling below the Hadamard bound of res (about 2*268400
+    # bits); the resultant stop comes before the doubling that would pass it.
+    # There res = 1, and the precision already exceeds b: V = 1 - b*z reads
+    # off at once, and Wang never runs after the resultant
+    calls = recorded_lift_stops(monkeypatch)
     b = polyrat._PRIMES[0] ** 4400
     assert b.bit_length() > 1 << 18
     assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
+    assert set(calls[:calls.index(1)]) == {"double", "wang"}
+    assert calls[calls.index(1):] == [1]
 
 
 def test_invert_mod_read_off_fails_then_doubles(monkeypatch):
     # res(z^2, 7 + b*z) = 49 while V = 49*(7 + b*z)^-1 = 7 - b*z has a
-    # 268400-bit coefficient, more than the read-off precision: the resultant
-    # stop must fail its exact check (or return 1/7) and leave the inverse,
-    # with its denominator 49, to the doubling with Wang after it
-    def unreachable(*args):
-        raise AssertionError("extended_gcd called on a coprime pair")
-
-    resultant, resultants = polyrat._resultant, []
-
-    def recorded(a, b):
-        resultants.append(resultant(a, b))
-        return resultants[-1]
-
-    monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
-    monkeypatch.setattr(polyrat, "_resultant", recorded)
+    # 268400-bit coefficient, far more than bits(res) plus a word; the lift's
+    # precision at the resultant stop exceeds it, so V reads off at once
+    calls = recorded_lift_stops(monkeypatch)
     b = polyrat._PRIMES[0] ** 4400
     assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
-    assert resultants == [49]
+    assert calls[calls.index(49):] == [49]
+    # modulo z^3, res = 1 and V = 1 - b*z + b^2*z^2 has 18000 bits for a
+    # 9000-bit b, more than the 15616 bits the stop reads at: the exact check
+    # fails, and the lift doubles and reads V again with the same res, not
+    # with Wang's reconstruction
+    del calls[:]
+    b = 3 ** 5678
+    assert invert_mod(1 + b * Z, Z ** 3) == 1 - b * Z + b * b * Z ** 2
+    assert calls[calls.index(1):] == [1, "double"]
 
 
 def test_invert_mod_falls_back_to_extended_gcd_when_every_prime_is_unlucky(monkeypatch):
