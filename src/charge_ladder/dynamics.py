@@ -16,10 +16,11 @@ antisymmetry), and with it the charge-weighted quantity
 
 is exactly conserved along the flow.
 
-Every pairwise term comes from one matrix, 1/(z_i - z_j) with a zero
-diagonal.  `integrate` builds it once per Runge-Kutta stage, where the
-velocities are its product with the charges; an accepted step takes H and
-its collision test from the last stage's matrix and velocities.
+Every pairwise term comes from one real pair kernel (`numerics._pair_kernel`):
+inv = 1/|z_i - z_j|**2 and the coordinate differences times inv give
+1/(z_i - z_j) without complex arithmetic.  `integrate` evolves the real state
+(x_1..x_N, y_1..y_N), builds the kernel once per Runge-Kutta stage and takes
+H and the collision test of an accepted step from its last stage's kernel.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .generators import BracketParams, bracket
 from .numerics import (
     COLLISION_FACTOR,
     ChargeSystem,
-    _inverse_differences,
-    _nearest,
+    _complex,
+    _pair_kernel,
     _require_finite,
+    _require_range,
     _separated,
     closest_pair,
     to_floats,
@@ -77,8 +79,7 @@ class StepSizeUnderflow(RuntimeError):
 def vortex_rhs(system: ChargeSystem) -> list[complex]:
     """Velocity of every root under the flow; zero exactly at equilibria of
     the field-free energy (the force of `numerics` divided by Q_i at k=0)."""
-    zs, qs = _separated(system)
-    return (_inverse_differences(zs) @ qs).tolist()
+    return _complex(_pair_kernel(*_separated(system))[0]).tolist()
 
 
 @dataclass
@@ -110,18 +111,16 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau; the last row is the fifth-order solution (FSAL)
-_DP_A = (
-    (),
+_DP_A = [np.array(row) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_ERR = (
-    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
-)
+)]
+_DP_ERR = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
 def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
@@ -129,14 +128,15 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     """Adaptive embedded Runge-Kutta integration of the root flow to t_end.
 
     Per-component error control with a PI step controller.  Each stage builds
-    one matrix 1/(z_i - z_j); the last stage sits at the step's end point, so
-    an accepted step records H and tests for a collision (the largest entry
-    is the closest pair) from its matrix and velocities.  Raises
-    CollisionDetected (with time, pair and the partial trajectory) when two
-    charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame, and ValueError on a non-finite system, on a t_end
-    that is not positive and finite or on tolerances that are not finite,
-    negative or both zero.
+    one pair kernel; stage sums and the error estimate are one product each
+    with the (7, 2N) real stage velocities.  The last stage sits at the step's
+    end point, so an accepted step records H and tests for a collision from
+    its kernel.  Raises CollisionDetected (with time, pair and the partial
+    trajectory) when two charges meet, StepSizeUnderflow when the controller
+    collapses without a nearby pair to blame, and ValueError on a system that
+    is not finite or whose squared pair distances leave float64's normal
+    range, on a t_end that is not positive and finite or on tolerances that
+    are not finite, negative or both zero.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -152,43 +152,51 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     dist, pair, diam = closest_pair(zs)
     if dist <= COLLISION_FACTOR * diam:
         raise CollisionDetected(0.0, pair, traj)
+    _require_range(dist, diam)
 
-    def record(t: float, y: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-        snap = ChargeSystem(y.tolist(), qs.tolist(), field=system.field)
-        traj.samples.append(TrajectorySample(t, snap, v.tolist(), _invariant(w, qs, v)))
+    def record(t: float, y: np.ndarray, d: np.ndarray, inv: np.ndarray, v: np.ndarray) -> None:
+        snap = ChargeSystem(_complex(y).tolist(), qs.tolist(), field=system.field)
+        v = _complex(v)
+        traj.samples.append(TrajectorySample(t, snap, v.tolist(), _invariant(d, inv, qs, v)))
 
-    t = 0.0
-    w = _inverse_differences(zs)
-    k1 = w @ qs
-    record(t, zs, w, k1)
-    vmag = float(np.abs(k1).max(initial=0.0))
-    h = min(t_end, 0.01 * (1.0 + float(np.abs(zs).max(initial=0.0))) / (1.0 + vmag))
+    t, n = 0.0, len(zs)
+    y, radius = np.concatenate((zs.real, zs.imag)), np.abs(zs)  # the real state (x, y)
+    ks = np.empty((7, 2 * n))  # stage velocities; row 0 is the last accepted step's
+    ks[0], d, inv = _pair_kernel(y.reshape(2, n), qs)
+    record(t, y, d, inv, ks[0])
+    vmag = float(np.hypot(ks[0, :n], ks[0, n:]).max(initial=0.0))
+    h = min(t_end, 0.01 * (1.0 + float(radius.max(initial=0.0))) / (1.0 + vmag))
     h_min = 1e-14 * max(t_end, 1.0)
     err_prev = 1.0
     safety, alpha, beta = 0.9, 0.17, 0.04
     while t < t_end:
         h = min(h, t_end - t)
         if h < h_min:
-            dist, pair = _nearest(w)
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
-        ks = [k1]
-        for row in _DP_A[1:]:
-            y_new = zs + h * sum(a * k for a, k in zip(row, ks))
-            w_new = _inverse_differences(y_new)
-            ks.append(w_new @ qs)
-        err_vec = h * sum(e * k for e, k in zip(_DP_ERR, ks))
-        sc = abs_tol + rel_tol * np.maximum(np.abs(zs), np.abs(y_new))
-        # a ratio past 1e150 would square past float64; the step is rejected either way
-        err = float(np.sqrt(np.mean(np.minimum(np.abs(err_vec / sc), 1e150) ** 2))) if len(zs) else 0.0
+        for s, row in enumerate(_DP_A, 1):
+            y_new = y + h * (row @ ks[:s])
+            ks[s], d_new, inv_new = _pair_kernel(y_new.reshape(2, n), qs)
+        err_vec = h * (_DP_ERR @ ks)
+        err_abs = np.hypot(err_vec[:n], err_vec[n:])
+        radius_new = np.hypot(y_new[:n], y_new[n:])
+        sc = abs_tol + rel_tol * np.maximum(radius, radius_new)
+        # no error counts 0, also over sc = 0; an error of 1e150 sc or more
+        # counts 1e150 (rejected), so no ratio leaves float64 or squares past it
+        ratio = np.divide(err_abs, sc, out=np.where(err_abs > 0, 1e150, 0.0),
+                          where=err_abs * 1e-150 < sc)
+        err = math.sqrt(ratio @ ratio / n) if n else 0.0
         if err <= 1.0:
             t += h
-            zs, w, k1 = y_new, w_new, ks[-1]
-            record(t, zs, w, k1)
+            y, radius, d, inv = y_new, radius_new, d_new, inv_new
+            ks[0] = ks[-1]
+            record(t, y, d, inv, ks[0])
             traj.steps_accepted += 1
             traj.max_error_estimate = max(traj.max_error_estimate, err)
-            dist, pair = _nearest(w)
+            if n > 1:  # the largest entry of inv is the closest pair
+                k = int(inv.argmax())
+                dist, pair = float(inv.flat[k]) ** -0.5, divmod(k, n)
             if dist <= COLLISION_FACTOR * diam:
                 raise CollisionDetected(t, pair, traj)
             fac = safety * max(err, 1e-10) ** -alpha * err_prev ** beta
@@ -200,17 +208,21 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     return traj
 
 
-def _invariant(w: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
-    """H from the inverse-difference matrix w and the velocities v; half the
-    pair sum is sum_ij Q_i**2 Q_j w_ij**2, as w_ij**2 is symmetric."""
-    return complex(qs @ (v * v) - (qs * qs) @ ((w * w) @ qs))
+def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
+    """H from the pair kernel (d, inv) and the complex velocities v.  Half
+    the pair sum is sum_ij Q_i**2 Q_j w_ij**2, as w_ij**2 is symmetric; with
+    w = a - ib for (a, b) = d, and a**2 + b**2 = inv, w**2 = 2a**2 - inv - 2iab."""
+    n = len(qs)
+    q2 = qs * qs
+    aa, ab = ((d[0] * d).reshape(2 * n, n) @ qs).reshape(2, n) @ q2
+    return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), -2 * ab)
 
 
 def conserved_quantity(system: ChargeSystem) -> complex:
     """The charge-weighted invariant H of the flow (see module docstring)."""
-    zs, qs = _separated(system)
-    w = _inverse_differences(zs)
-    return _invariant(w, qs, w @ qs)
+    xy, qs = _separated(system)
+    v, d, inv = _pair_kernel(xy, qs)
+    return _invariant(d, inv, qs, _complex(v))
 
 
 def acceleration_residual(system: ChargeSystem) -> float:
@@ -220,9 +232,9 @@ def acceleration_residual(system: ChargeSystem) -> float:
     closed pairwise law; the difference must vanish at any configuration,
     not just along trajectories.
     """
-    zs, qs = _separated(system)
-    w = _inverse_differences(zs)
-    v = w @ qs
+    xy, qs = _separated(system)
+    v, d, _ = _pair_kernel(xy, qs)
+    w, v = d[0] - 1j * d[1], _complex(v)
     # Q_j w_ij**2 ((v_i - v_j) - (Q_i + Q_j) w_ij): chain rule minus closed law
     terms = (v[:, None] - v[None, :] - (qs[:, None] + qs[None, :]) * w) * (w * w)
     return float(np.abs(terms @ qs).max(initial=0.0))

@@ -101,14 +101,20 @@ class ChargeSystem:
 
         Raises NotSquarefree or NotCoprime unless p and q are nonzero,
         squarefree and coprime.  Roots come from `roots`; float roots that
-        coincide raise CollisionError.
+        coincide raise CollisionError, and roots whose squared distances leave
+        float64's normal range ConvergenceFailure.
         """
         require_squarefree_coprime(p, q)
         positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
         charges = [1.0] * int(p.degree) + [-float(Fraction(lam))] * int(q.degree)
         fld = k if isinstance(k, complex) else complex(float(Fraction(k)))
         system = cls(positions, charges, field=fld)
-        _separated(system)
+        try:
+            _separated(system)
+        except CollisionError:
+            raise
+        except ValueError as exc:  # the roots are finite, their squared distances are not
+            raise ConvergenceFailure(f"float64 cannot hold the roots: {exc}") from exc
         return system
 
 
@@ -132,13 +138,29 @@ def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _inverse_differences(zs: np.ndarray) -> np.ndarray:
-    """The matrix 1/(z_i - z_j) with a zero diagonal, whose product with the
-    charges is the velocities sum_{j != i} Q_j / (z_i - z_j).  The caller has
-    checked that no two points coincide (their reciprocal is inf+nanj)."""
-    diff = zs[:, None] - zs[None, :]
-    diff.reshape(-1)[:: len(zs) + 1] = np.inf  # whose reciprocal is 0
-    return np.reciprocal(diff, out=diff)
+def _pair_kernel(xy: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(velocities, d, inv) of the points z = x + iy, given as the contiguous
+    (2, N) array (x, y), and the charges qs, in real arithmetic: inv =
+    1/|z_i - z_j|**2 and d = (x_i - x_j, y_i - y_j) * inv, zero on the
+    diagonal, so 1/(z_i - z_j) = d[0] - 1j*d[1] and the velocities (real
+    parts, then imaginary parts) are one matrix-vector product.  The caller
+    has checked separation and `_require_range`."""
+    n = xy.shape[1]
+    d = xy[:, :, None] - xy[:, None, :]
+    inv = np.square(d[0])
+    inv += np.square(d[1])
+    inv.reshape(-1)[:: n + 1] = np.inf  # whose reciprocal is 0
+    np.reciprocal(inv, out=inv)
+    d *= inv
+    v = d.reshape(2 * n, n) @ qs
+    v[n:] *= -1
+    return v, d, inv
+
+
+def _complex(a: np.ndarray) -> np.ndarray:
+    """The complex numbers whose real parts, then imaginary parts, make a."""
+    a = a.reshape(2, -1)
+    return a[0] + 1j * a[1]
 
 
 def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
@@ -155,24 +177,34 @@ def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
     return float(dist.flat[k]), divmod(k, n), diameter
 
 
-def _nearest(w: np.ndarray) -> tuple[float, tuple[int, int] | None]:
-    """Smallest distance and closest pair of the points whose
-    `_inverse_differences` matrix is w: its largest |entry|, inverted."""
-    if len(w) < 2:
-        return np.inf, None
-    mag = np.abs(w)
-    k = int(mag.argmax())
-    return 1.0 / float(mag.flat[k]), divmod(k, len(w))
+# distances whose squares are normal floats (max/2: a sum of two squares rounds up)
+_SQUARED_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / 2))
+
+
+def _require_range(dist: float, diameter: float) -> None:
+    """ValueError unless every distance from dist to diameter squares to a
+    normal float, so that `_pair_kernel` loses no pair term to underflow or
+    overflow.  Checked where a system enters, not per stage."""
+    if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
+        raise ValueError("squared pair distances leave float64's normal range "
+                         f"(distances {dist:.3e} to {diameter:.3e})")
+
+
+def _planar(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, N) real and imaginary parts of the positions, and the charges."""
+    zs = np.asarray(system.positions, dtype=complex)
+    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float)
 
 
 def _separated(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and charges of system as arrays.  Raises CollisionError when
-    two charges sit within COLLISION_FACTOR times the system's diameter."""
-    zs = np.asarray(system.positions, dtype=complex)
-    dist, pair, diameter = closest_pair(zs)
+    """`_planar(system)`.  Raises CollisionError when two charges sit within
+    COLLISION_FACTOR times the system's diameter, and ValueError when their
+    squared distances leave float64's normal range."""
+    dist, pair, diameter = closest_pair(np.asarray(system.positions, dtype=complex))
     if dist <= COLLISION_FACTOR * diameter:
         raise CollisionError(f"charges {pair[0]} and {pair[1]} within {dist:.3e}")
-    return zs, np.asarray(system.charges, dtype=float)
+    _require_range(dist, diameter)
+    return _planar(system)
 
 
 def roots(p: ExactPoly) -> list[complex]:
@@ -235,9 +267,11 @@ def force(system: ChargeSystem) -> list[complex]:
     All components vanishing is exactly the critical-point condition of the
     logarithmic pair energy (plus linear field term).
     """
-    zs, qs = _separated(system)
-    f = qs * (system.field + _inverse_differences(zs) @ qs)
-    return [complex(v) for v in f]
+    return _force(*_separated(system), system.field)
+
+
+def _force(xy: np.ndarray, qs: np.ndarray, k: complex) -> list[complex]:
+    return (qs * (k + _complex(_pair_kernel(xy, qs)[0]))).tolist()
 
 
 @dataclass
@@ -285,7 +319,7 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
             residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
     except OverflowError as exc:
         raise ConvergenceFailure(f"float64 cannot hold the coefficients: {exc}") from exc
-    forces = force(system)
+    forces = _force(*_planar(system), system.field)  # from_pair has separated the charges
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(
         max_force_norm=max_norm,

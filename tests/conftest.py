@@ -41,6 +41,8 @@ FLOAT64_BEYOND_PAIRS = [
     (Z ** 3 / 10 ** 320 + Z + 1, Z + 5, 2),  # a subnormal lead
     (Z / 10 ** 400 + 1, Z + 5, 2),  # linear, the lead scales to 0
     (10 ** 400 * (Z ** 3 + 1), Z, 1),  # roots in range, coefficients past it
+    (Z - 10 ** 160, Z, 1),  # roots in range, their squared distance overflows
+    (Z - Fraction(1, 10 ** 160), Z, 1),  # roots in range, their squared distance underflows
 ]
 
 

@@ -310,8 +310,8 @@ def test_simulate_step_underflow_exit_5(tmp_path, capsys):
     assert json.loads(out)["status"] == "step-underflow"
 
 
-# JSON input files by name: all but init.json of the wrong shape or with
-# non-finite numbers
+# JSON input files by name: all but init.json of the wrong shape, with
+# non-finite numbers or with pair distances whose squares leave float64
 MALFORMED = {
     "coeffs-int.json": '{"coeffs": 5}',
     "coeffs-null.json": '{"coeffs": [null, 1]}',
@@ -329,6 +329,8 @@ MALFORMED = {
     "position-nan.json": '{"positions": [[NaN, 0], [-1, 0]], "charges": [1, 1]}',
     "charge-inf.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1e400, 1]}',
     "field-inf.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], "field": [0, 1e400]}',
+    "positions-far.json": '{"positions": [[1e160, 0], [0, 0]], "charges": [1, 1]}',
+    "positions-near.json": '{"positions": [[1e-160, 0], [0, 0]], "charges": [1, 1]}',
     "init.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1]}',
 }
 
@@ -353,6 +355,8 @@ MALFORMED = {
       for tol in ("nan", "inf", "0", "-1")),
     (["equilibrium", "p.json", "q.json"], "nan", "tol must be positive and finite"),
     (["equilibrium", "p.json", "q.json"], "inf", "tol must be positive and finite"),
+    *((["simulate", "--init", name], None, "squared pair distances leave float64's normal range")
+      for name in ("positions-far.json", "positions-near.json")),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
     monkeypatch.chdir(tmp_path)

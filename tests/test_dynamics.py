@@ -1,8 +1,10 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
+from charge_ladder import dynamics
 from charge_ladder.dynamics import (
     CollisionDetected,
     StepSizeUnderflow,
@@ -101,6 +103,19 @@ def test_vortex_collision_error(evaluate):
         evaluate(ChargeSystem([0j, 0j], [1.0, 1.0]))
 
 
+@pytest.mark.parametrize("gap, inside", [(1e160, 1e150), (1e-160, 1e-150)])
+@pytest.mark.parametrize("evaluate", [vortex_rhs, force, conserved_quantity, acceleration_residual,
+                                      pytest.param(partial(integrate, t_end=1.0), id="integrate")])
+def test_pair_distances_whose_squares_leave_float64_rejected(evaluate, gap, inside):
+    # the pair kernel squares distances: past about 1e154 the square
+    # overflows, below about 1e-154 it underflows, and a pair term would be
+    # lost or blown up, so such systems are refused where they enter
+    with pytest.raises(ValueError, match="squared pair distances leave float64's normal range"):
+        evaluate(ChargeSystem([0j, gap], [1.0, 1.0]))
+    assert vortex_rhs(ChargeSystem([0j, inside], [1.0, 1.0])) == pytest.approx(
+        [-1 / inside, 1 / inside], rel=1e-15)
+
+
 # -- integration -----------------------------------------------------------------
 
 
@@ -167,11 +182,30 @@ def test_integrate_step_size_underflow():
     # pure absolute control far below double resolution of |z| ~ 1: every
     # step is rejected until the step falls under its floor, with no pair
     # close enough to blame.  Below about 1e-160 the error ratios square past
-    # float64, which must reject the step without a RuntimeWarning.
+    # float64, and at a subnormal tolerance they divide past it; either must
+    # reject the step without a RuntimeWarning.
     system = ChargeSystem([1, -1, 1j], [1.0, 1.0, -2.0])
-    for abs_tol in (1e-100, 1e-170, 1e-200):
+    for abs_tol in (1e-100, 1e-170, 1e-200, 1e-310):
         with pytest.raises(StepSizeUnderflow):
             integrate(system, 1.0, rel_tol=0.0, abs_tol=abs_tol)
+
+
+def test_integrate_error_norm_without_scale():
+    # with abs_tol=0 a charge resting at the origin has error 0 over scale 0:
+    # that component counts as no error, not as 0/0
+    traj = integrate(ChargeSystem([-1, 0, 1], [1.0, 1.0, 1.0]), 1.0, rel_tol=1e-10, abs_tol=0.0)
+    assert traj.final.t == 1.0
+    assert all(sample.system.positions[1] == 0 for sample in traj.samples)
+
+
+def test_integrate_builds_one_pair_kernel_per_stage(monkeypatch):
+    # one kernel for the initial state, then one for each of the six stages
+    # of every step tried; an accepted step reuses its last stage's kernel
+    calls, kernel = [], dynamics._pair_kernel
+    monkeypatch.setattr(dynamics, "_pair_kernel", lambda *args: calls.append(1) or kernel(*args))
+    traj = integrate(random_separated_config(random.Random(0), 8, 2.0), 1.0)
+    assert traj.steps_rejected > 0
+    assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
 
 
 def test_integrate_rejects_nonpositive_horizon():
@@ -330,9 +364,12 @@ def test_bilinear_residual_first_order_convergence():
 
 
 def test_trajectory_sample_velocities_recomputable():
+    # a sample's velocities and H come from the last stage's pair kernel, on
+    # the very floats of its positions, so recomputing them gives the same bits
     rng = random.Random(88)
-    system = random_separated_config(rng, 4, 2.0)
-    traj = integrate(system, 0.5)
-    for sample in traj.samples[:: max(1, len(traj.samples) // 5)]:
-        again = vortex_rhs(sample.system)
-        assert max(abs(a - b) for a, b in zip(again, sample.velocities)) < 1e-12
+    for n in (4, 60):
+        system = random_separated_config(rng, n, 2.0, box=2.0 * (n / 8) ** 0.5)
+        traj = integrate(system, 0.5 / n)
+        for sample in traj.samples:
+            assert sample.velocities == vortex_rhs(sample.system)
+            assert sample.invariant == conserved_quantity(sample.system)

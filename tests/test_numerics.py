@@ -107,7 +107,8 @@ def test_roots_float64_cannot_hold_fail_loudly(p):
 
 @pytest.mark.parametrize("p, q, lam", FLOAT64_BEYOND_PAIRS)
 def test_verify_equilibrium_float64_cannot_hold_fails_loudly(p, q, lam):
-    # the roots of the first three, the residuals of the last
+    # the roots of the first three, the residuals of the fourth, the squared
+    # root distances of the last two
     with pytest.raises(ConvergenceFailure, match="float64 cannot hold"):
         verify_equilibrium(p, q, lam)
 
@@ -205,6 +206,15 @@ def test_verify_equilibrium_preconditions():
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             verify_equilibrium(Z ** 5 + 1, Z, 2, tol=tol)
+
+
+def test_verify_equilibrium_checks_separation_once(monkeypatch):
+    # once for the roots of z^5 + 1 (near-coincidence warning), once for the
+    # six charges; the force audit reuses from_pair's check
+    sizes, closest_pair = [], numerics.closest_pair
+    monkeypatch.setattr(numerics, "closest_pair", lambda zs: sizes.append(len(zs)) or closest_pair(zs))
+    assert verify_equilibrium(Z ** 5 + 1, Z, 2).equilibrium
+    assert sizes == [5, 6]
 
 
 def test_charge_system_json():
