@@ -21,6 +21,7 @@ inv = 1/|z_i - z_j|**2 and the coordinate differences times inv give
 1/(z_i - z_j) without complex arithmetic.  `integrate` evolves the real state
 (x_1..x_N, y_1..y_N), builds the kernel once per Runge-Kutta stage and takes
 H and the collision test of an accepted step from its last stage's kernel.
+Every entry point takes its system through the admission check of `numerics`.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from .generators import BracketParams, bracket
 from .numerics import (
     COLLISION_FACTOR,
     ChargeSystem,
+    CollisionError,
+    _admit,
     _complex,
     _pair_kernel,
-    _require_finite,
-    _require_range,
-    _separated,
-    closest_pair,
     to_floats,
 )
 from .polyrat import ExactPoly
@@ -79,7 +78,7 @@ class StepSizeUnderflow(RuntimeError):
 def vortex_rhs(system: ChargeSystem) -> list[complex]:
     """Velocity of every root under the flow; zero exactly at equilibria of
     the field-free energy (the force of `numerics` divided by Q_i at k=0)."""
-    return _complex(_pair_kernel(*_separated(system))[0]).tolist()
+    return _complex(_pair_kernel(*_admit(system)[:2])[0]).tolist()
 
 
 @dataclass
@@ -133,10 +132,10 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     end point, so an accepted step records H and tests for a collision from
     its kernel.  Raises CollisionDetected (with time, pair and the partial
     trajectory) when two charges meet, StepSizeUnderflow when the controller
-    collapses without a nearby pair to blame, and ValueError on a system that
-    is not finite or whose squared pair distances leave float64's normal
-    range, on a t_end that is not positive and finite or on tolerances that
-    are not finite, negative or both zero.
+    collapses without a nearby pair to blame, and ValueError on a system the
+    admission check refuses (not finite, or squared pair distances outside
+    float64's normal range), on a t_end that is not positive and finite or
+    on tolerances that are not finite, negative or both zero.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -144,23 +143,19 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
         raise ValueError("tolerances must be non-negative and not both zero")
     if math.inf in (rel_tol, abs_tol):
         raise ValueError("tolerances must be finite")
-    _require_finite(system)
-    qs = np.asarray(system.charges, dtype=float)
-    zs = np.asarray(system.positions, dtype=complex)
     traj = Trajectory()
-    # the initial points may coincide, so this test runs before any reciprocal
-    dist, pair, diam = closest_pair(zs)
-    if dist <= COLLISION_FACTOR * diam:
-        raise CollisionDetected(0.0, pair, traj)
-    _require_range(dist, diam)
+    try:
+        xy, qs, dist, pair, diam = _admit(system)
+    except CollisionError as exc:
+        raise CollisionDetected(0.0, exc.pair, traj) from exc
 
     def record(t: float, y: np.ndarray, d: np.ndarray, inv: np.ndarray, v: np.ndarray) -> None:
         snap = ChargeSystem(_complex(y).tolist(), qs.tolist(), field=system.field)
         v = _complex(v)
         traj.samples.append(TrajectorySample(t, snap, v.tolist(), _invariant(d, inv, qs, v)))
 
-    t, n = 0.0, len(zs)
-    y, radius = np.concatenate((zs.real, zs.imag)), np.abs(zs)  # the real state (x, y)
+    t, n = 0.0, xy.shape[1]
+    y, radius = xy.reshape(-1), np.abs(_complex(xy))  # the real state (x, y)
     ks = np.empty((7, 2 * n))  # stage velocities; row 0 is the last accepted step's
     ks[0], d, inv = _pair_kernel(y.reshape(2, n), qs)
     record(t, y, d, inv, ks[0])
@@ -220,7 +215,7 @@ def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) ->
 
 def conserved_quantity(system: ChargeSystem) -> complex:
     """The charge-weighted invariant H of the flow (see module docstring)."""
-    xy, qs = _separated(system)
+    xy, qs, *_ = _admit(system)
     v, d, inv = _pair_kernel(xy, qs)
     return _invariant(d, inv, qs, _complex(v))
 
@@ -230,14 +225,18 @@ def acceleration_residual(system: ChargeSystem) -> float:
 
     (a) differentiates the flow along itself (chain rule), (b) uses the
     closed pairwise law; the difference must vanish at any configuration,
-    not just along trajectories.
+    not just along trajectories.  ValueError where a cubic term overflows.
     """
-    xy, qs = _separated(system)
+    xy, qs, *_ = _admit(system)
     v, d, _ = _pair_kernel(xy, qs)
     w, v = d[0] - 1j * d[1], _complex(v)
-    # Q_j w_ij**2 ((v_i - v_j) - (Q_i + Q_j) w_ij): chain rule minus closed law
-    terms = (v[:, None] - v[None, :] - (qs[:, None] + qs[None, :]) * w) * (w * w)
-    return float(np.abs(terms @ qs).max(initial=0.0))
+    try:
+        with np.errstate(over="raise"):
+            # Q_j w_ij**2 ((v_i - v_j) - (Q_i + Q_j) w_ij): chain rule minus closed law
+            terms = (v[:, None] - v[None, :] - (qs[:, None] + qs[None, :]) * w) * (w * w)
+            return float(np.abs(terms @ qs).max(initial=0.0))
+    except FloatingPointError as exc:
+        raise ValueError(f"acceleration terms leave float64's range: {exc}") from exc
 
 
 def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:

@@ -4,7 +4,9 @@ that root configurations balance as Coulomb charges.
 Roots are seeded from companion-matrix eigenvalues and polished by
 simultaneous Aberth-Ehrlich iteration in extended precision; forces use the
 complex convention F_i = Q_i (k + sum_{j != i} Q_j / (z_i - z_j)), whose zero
-set coincides with critical points of the logarithmic energy.
+set coincides with critical points of the logarithmic energy.  One admission
+check (`_admit`) decides which charge systems the float layer takes; `force`,
+`ChargeSystem.from_pair` and the entry points of `dynamics` all run it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ COLLISION_FACTOR = 1e-10
 
 
 class CollisionError(ValueError):
-    """Two charges sit closer than the collision tolerance."""
+    """Two charges, `pair`, sit closer than the collision tolerance."""
+
+    def __init__(self, pair: tuple[int, int], dist: float):
+        super().__init__(f"charges {pair[0]} and {pair[1]} within {dist:.3e}")
+        self.pair = pair
 
 
 class ConvergenceFailure(RuntimeError):
@@ -100,17 +106,22 @@ class ChargeSystem:
         for a constant), in field k: a complex k as given, else as a rational.
 
         Raises NotSquarefree or NotCoprime unless p and q are nonzero,
-        squarefree and coprime.  Roots come from `roots`; float roots that
-        coincide raise CollisionError, and roots whose squared distances leave
-        float64's normal range ConvergenceFailure.
+        squarefree and coprime, and ValueError when lam or k leaves float64.
+        Roots come from `roots`; float roots that coincide raise
+        CollisionError, and roots whose squared distances leave float64's
+        normal range ConvergenceFailure.
         """
         require_squarefree_coprime(p, q)
-        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
-        charges = [1.0] * int(p.degree) + [-float(Fraction(lam))] * int(q.degree)
-        fld = k if isinstance(k, complex) else complex(float(Fraction(k)))
-        system = cls(positions, charges, field=fld)
         try:
-            _separated(system)
+            charge = -float(Fraction(lam))
+            re, im = (k.real, k.imag) if isinstance(k, complex) else (k, 0)
+            fld = complex(float(Fraction(re)), float(Fraction(im)))
+        except OverflowError as exc:
+            raise ValueError(f"lam and k must be finite in float64: {exc}") from exc
+        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
+        system = cls(positions, [1.0] * int(p.degree) + [charge] * int(q.degree), fld)
+        try:
+            _admit(system)
         except CollisionError:
             raise
         except ValueError as exc:  # the roots are finite, their squared distances are not
@@ -119,9 +130,7 @@ class ChargeSystem:
 
 
 def _require_finite(system: ChargeSystem) -> None:
-    """ValueError unless every position, charge and the field are finite.
-    Called where a system enters (from_json, integrate), not on construction:
-    integrate builds one for every step it records."""
+    """ValueError unless every position, charge and the field are finite."""
     if not np.isfinite([*system.positions, *system.charges, system.field]).all():
         raise ValueError("positions, charges and field must be finite")
 
@@ -144,7 +153,7 @@ def _pair_kernel(xy: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     1/|z_i - z_j|**2 and d = (x_i - x_j, y_i - y_j) * inv, zero on the
     diagonal, so 1/(z_i - z_j) = d[0] - 1j*d[1] and the velocities (real
     parts, then imaginary parts) are one matrix-vector product.  The caller
-    has checked separation and `_require_range`."""
+    has admitted the points (`_admit`)."""
     n = xy.shape[1]
     d = xy[:, :, None] - xy[:, None, :]
     inv = np.square(d[0])
@@ -181,30 +190,20 @@ def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
 _SQUARED_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / 2))
 
 
-def _require_range(dist: float, diameter: float) -> None:
-    """ValueError unless every distance from dist to diameter squares to a
-    normal float, so that `_pair_kernel` loses no pair term to underflow or
-    overflow.  Checked where a system enters, not per stage."""
+def _admit(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray, float, tuple[int, int] | None, float]:
+    """The (2, N) real and imaginary parts of the positions, the charges and
+    their `closest_pair`.  ValueError on a non-finite entry, CollisionError on
+    a pair within COLLISION_FACTOR times the diameter, and ValueError on a
+    squared distance outside float64's normal range (`_pair_kernel` needs it)."""
+    _require_finite(system)
+    zs = np.asarray(system.positions, dtype=complex)
+    dist, pair, diameter = closest_pair(zs)
+    if dist <= COLLISION_FACTOR * diameter:
+        raise CollisionError(pair, dist)
     if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
         raise ValueError("squared pair distances leave float64's normal range "
                          f"(distances {dist:.3e} to {diameter:.3e})")
-
-
-def _planar(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, N) real and imaginary parts of the positions, and the charges."""
-    zs = np.asarray(system.positions, dtype=complex)
-    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float)
-
-
-def _separated(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray]:
-    """`_planar(system)`.  Raises CollisionError when two charges sit within
-    COLLISION_FACTOR times the system's diameter, and ValueError when their
-    squared distances leave float64's normal range."""
-    dist, pair, diameter = closest_pair(np.asarray(system.positions, dtype=complex))
-    if dist <= COLLISION_FACTOR * diameter:
-        raise CollisionError(f"charges {pair[0]} and {pair[1]} within {dist:.3e}")
-    _require_range(dist, diameter)
-    return _planar(system)
+    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float), dist, pair, diameter
 
 
 def roots(p: ExactPoly) -> list[complex]:
@@ -267,7 +266,7 @@ def force(system: ChargeSystem) -> list[complex]:
     All components vanishing is exactly the critical-point condition of the
     logarithmic pair energy (plus linear field term).
     """
-    return _force(*_separated(system), system.field)
+    return _force(*_admit(system)[:2], system.field)
 
 
 def _force(xy: np.ndarray, qs: np.ndarray, k: complex) -> list[complex]:
@@ -319,7 +318,8 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
             residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
     except OverflowError as exc:
         raise ConvergenceFailure(f"float64 cannot hold the coefficients: {exc}") from exc
-    forces = _force(*_planar(system), system.field)  # from_pair has separated the charges
+    zs = np.asarray(system.positions, dtype=complex)  # from_pair has admitted them
+    forces = _force(np.stack((zs.real, zs.imag)), np.asarray(system.charges), system.field)
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(
         max_force_norm=max_norm,

@@ -345,6 +345,10 @@ class ExactPoly:
         if not (isinstance(coeffs, (list, tuple)) and all(isinstance(c, (str, int, Fraction))
                 or isinstance(c, float) and math.isfinite(c) for c in coeffs)):
             raise ValueError("polynomial JSON must be an object with a 'coeffs' array of rationals")
+        for c in coeffs:  # a float is taken only where its binary value is the decimal it reads
+            if isinstance(c, float) and Fraction(c) != Fraction(repr(c)):
+                raise ValueError(f"polynomial JSON float {c!r} is not exactly {c!r} in binary; "
+                                 "give it as a rational string")
         return cls(tuple(_parse_rational(c) for c in coeffs))
 
 

@@ -318,6 +318,7 @@ MALFORMED = {
     "coeffs-array.json": '{"coeffs": [[1], 1]}',
     "coeffs-string.json": '{"coeffs": "12"}',  # a string, not an array of digits
     "coeffs-inf.json": '{"coeffs": [1e400, 1]}',
+    "coeffs-float.json": '{"coeffs": [0.1, 1]}',  # 0.1 has no exact binary value
     "field-short.json": '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], "field": [1]}',
     "charges-int.json": '{"positions": [[1, 0], [-1, 0]], "charges": 5}',
     "positions-int.json": '{"positions": 3, "charges": [1, 1]}',
@@ -341,7 +342,8 @@ MALFORMED = {
     (["simulate", "--init", "missing.json"], None, "cannot read initial condition"),
     (["equilibrium", "p.json", "q.json"], "1e-8x", "CHARGE_LADDER_TOL is not a number"),
     *((["certify", name, "q.json"], None, f"cannot read polynomial from {name}: polynomial JSON")
-      for name in MALFORMED if name.startswith("coeffs-")),
+      for name in ("coeffs-int.json", "coeffs-null.json", "coeffs-array.json",
+                   "coeffs-string.json", "coeffs-inf.json")),
     *((["simulate", "--init", name], None, f"cannot read initial condition from {name}")
       for name in ("field-short.json", "charges-int.json", "positions-int.json",
                    "charge-null.json", "position-string.json", "system-array.json",
@@ -357,6 +359,13 @@ MALFORMED = {
     (["equilibrium", "p.json", "q.json"], "inf", "tol must be positive and finite"),
     *((["simulate", "--init", name], None, "squared pair distances leave float64's normal range")
       for name in ("positions-far.json", "positions-near.json")),
+    # a charge ratio or field past float64 is refused, not a verdict (exit 1)
+    (["equilibrium", "p.json", "q.json", "--lam", "1e400"], None, "lam and k must be finite in float64"),
+    (["equilibrium", "p.json", "q.json", "--k", "1e400"], None, "lam and k must be finite in float64"),
+    (["simulate", "--p", "p.json", "--q", "q.json", "--lam", "1e400"], None,
+     "lam and k must be finite in float64"),
+    (["certify", "coeffs-float.json", "q.json"], None,
+     "cannot read polynomial from coeffs-float.json: polynomial JSON"),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
     monkeypatch.chdir(tmp_path)

@@ -97,10 +97,32 @@ def test_pairwise_quantities_match_double_loop(n):
     assert abs(acceleration_residual(system) - max(abs(a) for a in accel)) <= 1e-12 * max(accel_scale)
 
 
-@pytest.mark.parametrize("evaluate", [vortex_rhs, conserved_quantity, acceleration_residual])
+@pytest.mark.parametrize("evaluate", [vortex_rhs, conserved_quantity, acceleration_residual, force])
 def test_vortex_collision_error(evaluate):
-    with pytest.raises(CollisionError, match="charges 0 and 1 within"):
+    with pytest.raises(CollisionError, match="charges 0 and 1 within") as info:
         evaluate(ChargeSystem([0j, 0j], [1.0, 1.0]))
+    assert info.value.pair == (0, 1)
+    with pytest.raises(CollisionError, match="charges 1 and 2 within 1.000e-12") as info:
+        evaluate(ChargeSystem([1j, 0j, 1e-12], [1.0, 1.0, 1.0]))
+    assert info.value.pair == (1, 2)
+
+
+@pytest.mark.parametrize("charges, fld", [
+    ([1.0, np.nan], 0.0), ([np.inf, 1.0], 0.0), ([1.0, 1.0], complex(np.inf, 0.0))])
+@pytest.mark.parametrize("evaluate", [vortex_rhs, force, conserved_quantity, acceleration_residual,
+                                      pytest.param(partial(integrate, t_end=1.0), id="integrate")])
+def test_nonfinite_charges_and_field_rejected(evaluate, charges, fld):
+    with pytest.raises(ValueError, match="must be finite"):
+        evaluate(ChargeSystem([1 + 0j, -1 + 0j], charges, field=fld))
+
+
+def test_acceleration_overflow_raises():
+    # admitted (squared distances about 1e-220 are normal floats), but the
+    # closed law cubes reciprocal distances of about 1e110
+    system = ChargeSystem([0j, 1e-110, 2e-110j], [1.0, 1.0, -2.0])
+    vortex_rhs(system)
+    with pytest.raises(ValueError, match="acceleration terms leave float64's range"):
+        acceleration_residual(system)
 
 
 @pytest.mark.parametrize("gap, inside", [(1e160, 1e150), (1e-160, 1e-150)])

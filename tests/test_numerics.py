@@ -203,6 +203,10 @@ def test_verify_equilibrium_preconditions():
             build(Z + 1, ExactPoly.zero(), 1)
         with pytest.raises(NotCoprime, match="p and q share a root"):
             build(Z ** 2 - 1, Z - 1, 1)
+        # a usage error, not "float64 cannot hold the roots": the roots are fine
+        for lam, k in ((F(10 ** 400), 0), (2, F(-(10 ** 400))), (2, complex(0, np.inf))):
+            with pytest.raises(ValueError, match="lam and k must be finite in float64"):
+                build(Z ** 5 + 1, Z, lam, k)
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             verify_equilibrium(Z ** 5 + 1, Z, 2, tol=tol)

@@ -134,11 +134,14 @@ def test_json_round_trip():
     p = ExactPoly([F(-1, 2), 0, F(7, 3), 1])
     assert ExactPoly.from_json(p.to_json()) == p
     assert p.to_json()["coeffs"] == ["-1/2", "0", "7/3", "1"]
-    assert ExactPoly.from_json({"coeffs": [1, 0.5, "-2/3"]}) == ExactPoly([1, F(1, 2), F(-2, 3)])
+    assert ExactPoly.from_json({"coeffs": [1, 0.5, "-2/3", 2.0]}) == ExactPoly([1, F(1, 2), F(-2, 3), 2])
     for blob in ([1, 2], {"var": "z"}, {"coeffs": 5}, {"coeffs": "12"}, {"coeffs": [None, 1]},
                  {"coeffs": [[1], 1]}, {"coeffs": [math.inf]}, {"coeffs": [math.nan]}, {"coeffs": ["1/0"]}):
         with pytest.raises(ValueError):
             ExactPoly.from_json(blob)
+    # 0.1 is 3602879701896397/2**55 in binary, not the 1/10 it reads as
+    with pytest.raises(ValueError, match="polynomial JSON float 0.1 is not exactly 0.1"):
+        ExactPoly.from_json({"coeffs": [0.1, 1]})
 
 
 # -- gcd ----------------------------------------------------------------------
