@@ -84,7 +84,7 @@ def _load_poly(path: str) -> ExactPoly:
     try:
         with open(path) as fh:
             return ExactPoly.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read polynomial from {path}: {exc}") from exc
 
 
@@ -178,7 +178,7 @@ def _initial_system(args) -> ChargeSystem:
         try:
             with open(args.init) as fh:
                 return ChargeSystem.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read initial condition from {args.init}: {exc}")
     if not (args.p and args.q):
         raise UsageError("simulate needs either --init or both --p and --q")

@@ -160,13 +160,14 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     ks[0], d, inv = _pair_kernel(y.reshape(2, n), qs)
     record(t, y, d, inv, ks[0])
     vmag = float(np.hypot(ks[0, :n], ks[0, n:]).max(initial=0.0))
-    h = min(t_end, 0.01 * (1.0 + float(radius.max(initial=0.0))) / (1.0 + vmag))
-    h_min = 1e-14 * max(t_end, 1.0)
+    h0 = h = min(t_end, 0.01 * (1.0 + float(radius.max(initial=0.0))) / (1.0 + vmag))
     err_prev = 1.0
     safety, alpha, beta = 0.9, 0.17, 0.04
     while t < t_end:
         h = min(h, t_end - t)
-        if h < h_min:
+        # the floor scales with the time reached, or the first step, not with
+        # an absolute unit: the flow is invariant under z -> s*z, t -> s**2*t
+        if h < 1e-14 * max(t, h0):
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")

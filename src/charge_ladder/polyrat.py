@@ -8,7 +8,8 @@ run by Kronecker substitution and modular inverses by Newton lifting, both on
 Python integers; the lift stops at a rational reconstruction or, near the
 Hadamard bound, at the resultant.  A remainder-only Euclid mod a word-size
 prime certifies squarefree and coprime pairs; only the lift folds a cofactor
-from its quotients.  On top of the ring operations the module provides the
+from its quotients, and where no such prime certifies a pair to invert, the
+resultant decides it.  On top of the ring operations the module provides the
 symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
@@ -47,7 +48,6 @@ __all__ = [
     "UndefinedGcd",
     "as_fraction",
     "exact_div",
-    "extended_gcd",
     "gcd_poly",
     "hermite_reduce",
     "integrate_rational",
@@ -535,8 +535,8 @@ def _primitive(ints: Sequence[int]) -> list[int]:
 # polynomials, so gcd first tries a modular certificate: Euclid mod p on
 # remainders only, whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen
 # & Gerhard, Modern Computer Algebra, 6.4); invert_mod folds its cofactor from
-# the quotients.  A primitive pseudo-remainder sequence over Z runs when the
-# fast path is inconclusive.
+# the quotients.  Where that is inconclusive, gcd_poly runs a primitive
+# pseudo-remainder sequence over Z and invert_mod the resultant.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
@@ -589,29 +589,6 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return ExactPoly._ints(_int_gcd(a._num, b._num)).monic()
 
 
-def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
-    """Extended Euclid over Q: returns monic g and s, t with s*a + t*b = g.
-
-    Remainders are renormalized monic each round to curb coefficient growth.
-    """
-    if a.is_zero and b.is_zero:
-        raise UndefinedGcd("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = ExactPoly.one(), ExactPoly.zero()
-    t0, t1 = ExactPoly.zero(), ExactPoly.one()
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        s_new, t_new = s0 - q * s1, t0 - q * t1
-        if not r.is_zero:
-            lead = r.lead
-            r, s_new, t_new = r / lead, s_new / lead, t_new / lead
-        r0, r1 = r1, r
-        s0, s1 = s1, s_new
-        t0, t1 = t1, t_new
-    lead = r0.lead
-    return r0 / lead, s0 / lead, t0 / lead
-
-
 # -- modular inverse by Newton lifting -----------------------------------------
 #
 # An obstructed Hermite reduction needs an inverse modulo a large polynomial
@@ -630,8 +607,10 @@ def extended_gcd(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, Exac
 # U*M + V*A = res(M, A) the inverse is V/res with V integral, so the lift goes
 # no further than bits(res) plus one word before it reads V off as symmetric
 # residues.  If V is larger, the check fails and the lift doubles and reads V
-# again: it needs no precision cap.  Exact Euclid over Q runs only when no
-# prime certifies coprimality (a common factor, or unlucky primes).
+# again: it needs no precision cap.  When no word-size prime certifies
+# coprimality (a common factor, or unlucky primes), res(M, A) decides it, as
+# it is 0 exactly when M and A share a factor (6.3); otherwise the lift runs
+# mod the least prime dividing neither res nor lead(M), straight to its stop.
 
 
 def _lift(a: Sequence[int], m: Sequence[int], s: list[int], n: int, t: int) -> tuple[list[int], int]:
@@ -720,38 +699,41 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
     # bits of the Hadamard bound |res(M, A)| <= |M|**deg A * |A|**deg M
     hadamard = ((len(num) - 1) * sum(c * c for c in m).bit_length()
                 + (len(m) - 1) * sum(c * c for c in num).bit_length()) // 2 + 1
+    res = None  # res(M, A), computed once, at the resultant stop at the latest
     for prime in _PRIMES:
-        if m[-1] % prime == 0:
-            continue
-        deg, quots, lead = _euclid_mod(m, num, prime)
-        if deg != 0:
-            continue  # unlucky prime, or a genuine common factor
-        # s*A = 1 (mod M, prime): A's cofactors t_(k+1) = t_(k-1) - q_k*t_k, over
-        # lead; q_k*t_k outranks t_(k-1) mod prime, so no trailing zero appears
-        t, s = [], [pow(lead, -1, prime)]
-        for quot in quots[:-1]:
-            t, s = s, [(x - y) % prime for x, y in
-                       itertools.zip_longest(t, _kmul(quot, s), fillvalue=0)]
-        n, k, res = prime, 1, None  # n = prime**k
-        while True:
-            if res is None and 2 * n.bit_length() > hadamard:
-                # the resultant stop: lift to prime**j past bits(res) plus a word
-                res = _resultant(m, num)
-                j = max(k, -(-(res.bit_length() + 64) // (prime.bit_length() - 1)))
-                (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
-            else:
-                (s, n), k = _lift(num, m, s, n, n), 2 * k
-            found = _reconstruct(s, n) if res is None else (
-                [c - n if c > n >> 1 else c for c in (x * res % n for x in s)], res)
-            if found is not None:
-                candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
-                if ((candidate * a - 1) % modulus).is_zero:
-                    return candidate
-    # No prime certified coprimality: exact Euclid decides it.
-    g, s, _ = extended_gcd(a, modulus)
-    if g.degree != 0:
-        raise NotCoprime(f"no inverse: gcd has degree {g.degree}")
-    return s % modulus
+        if m[-1] % prime:
+            deg, quots, lead = _euclid_mod(m, num, prime)
+            if deg == 0:
+                break
+    else:  # no word-size prime certifies coprimality: res(M, A) decides it
+        res = _resultant(m, num)
+        if not res:
+            raise NotCoprime("no inverse: the resultant is zero")
+        prime = next(p for p in itertools.count(2) if m[-1] % p and res % p
+                     and all(p % d for d in range(2, math.isqrt(p) + 1)))
+        _, quots, lead = _euclid_mod(m, num, prime)
+        hadamard = 0  # no Wang reconstruction: the first lift is the stop
+    # s*A = 1 (mod M, prime): A's cofactors t_(k+1) = t_(k-1) - q_k*t_k, over
+    # lead; q_k*t_k outranks t_(k-1) mod prime, so no trailing zero appears
+    t, s = [], [pow(lead, -1, prime)]
+    for quot in quots[:-1]:
+        t, s = s, [(x - y) % prime for x, y in
+                   itertools.zip_longest(t, _kmul(quot, s), fillvalue=0)]
+    n, k, stopped = prime, 1, False  # n = prime**k
+    while True:
+        if not stopped and 2 * n.bit_length() > hadamard:
+            # the resultant stop: lift to prime**j past bits(res) plus a word
+            res, stopped = _resultant(m, num) if res is None else res, True
+            j = max(k, -(-(res.bit_length() + 64) // (prime.bit_length() - 1)))
+            (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
+        else:
+            (s, n), k = _lift(num, m, s, n, n), 2 * k
+        found = (([c - n if c > n >> 1 else c for c in (x * res % n for x in s)], res)
+                 if stopped else _reconstruct(s, n))
+        if found is not None:
+            candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
+            if ((candidate * a - 1) % modulus).is_zero:
+                return candidate
 
 
 def is_squarefree(p: ExactPoly) -> bool:
@@ -907,10 +889,12 @@ def hermite_reduce(num: ExactPoly, p: ExactPoly) -> ReductionResult:
     if r is not None:
         poly_part, c = divmod(r, p)
         return ReductionResult(poly_part - poly_part.coeff(0), c, ExactPoly.zero())
-    if not is_squarefree(p):
-        raise NotSquarefree("hermite_reduce requires a squarefree denominator base")
     poly_part, rem = divmod(num, p * p)
-    c = (-rem * invert_mod(dp % p, p)) % p
+    try:  # p is squarefree exactly when p' is invertible mod p
+        inv = invert_mod(dp, p)
+    except NotCoprime as exc:
+        raise NotSquarefree("hermite_reduce requires a squarefree denominator base") from exc
+    c = (-rem * inv) % p
     b = exact_div(rem + c * dp, p) - c.derivative()
     return ReductionResult(poly_part.antiderivative(), c, b)
 

@@ -265,6 +265,16 @@ def test_simulate_ok_with_drift_summary(tmp_path, capsys):
     assert set(record) == {"t", "positions", "velocities", "H"}
 
 
+def test_simulate_short_horizon(tmp_path, capsys):
+    # a horizon far below 1 runs: the minimum step is relative, not absolute
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"positions": [[0, 0], [1, 0]], "charges": [1, 1]}))
+    code, out, _ = run(capsys, "simulate", "--init", str(init), "--t-end", "1e-15",
+                       "--out", str(tmp_path / "traj.jsonl"))
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+
+
 def test_simulate_from_pair(tmp_path, capsys):
     p = write_poly(tmp_path, "p.json", Z ** 5 + 1)
     q = write_poly(tmp_path, "q.json", Z)

@@ -212,6 +212,25 @@ def test_integrate_step_size_underflow():
             integrate(system, 1.0, rel_tol=0.0, abs_tol=abs_tol)
 
 
+def test_integrate_minimum_step_scales_with_the_flow():
+    # the flow is invariant under z -> s*z, t -> s**2*t, so two unit charges
+    # 1e-12 apart move as smoothly as two 1 apart, their gap g obeying
+    # g**2 = g0**2 + 4t; the floor on the step scales with the time reached
+    # or the first step, so neither a short horizon nor a small gap underflows
+    traj = integrate(ChargeSystem([0, 1], [1.0, 1.0]), 1e-15)
+    assert traj.final.t == 1e-15 and traj.steps_accepted == 1
+    for gap in (1e-12, 1e-9):
+        system = ChargeSystem([0, gap], [1.0, 1.0])
+        traj = integrate(system, gap * gap)
+        assert traj.final.t == gap * gap and traj.steps_accepted == 1
+        # with the absolute tolerance scaled too, the short run is accurate
+        z = integrate(system, gap * gap, abs_tol=1e-12 * gap).final.system.positions
+        assert abs(abs(z[1] - z[0]) / gap - np.sqrt(5.0)) < 1e-9
+        traj = integrate(system, 1.0)
+        z = traj.final.system.positions
+        assert traj.final.t == 1.0 and abs(abs(z[1] - z[0]) - 2.0) < 1e-9
+
+
 def test_integrate_error_norm_without_scale():
     # with abs_tol=0 a charge resting at the origin has error 0 over scale 0:
     # that component counts as no error, not as 0/0

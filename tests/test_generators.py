@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from charge_ladder import polyrat
 from charge_ladder.generators import (
     BracketParams,
     LadderState,
@@ -375,6 +376,22 @@ def test_certificate_obstruction():
     cert = certify_rational_integrals(Z ** 2 - 1, Z, 1)
     assert not cert.bracket_zero and not cert.rational
     assert cert.obstructions
+
+
+def test_obstructed_certificate_decides_each_fact_once(ladder_chain, monkeypatch):
+    # the i=3 pair with one coefficient of p scaled by 4/3 obstructs both
+    # sides: one Euclid mod p each for p and q squarefree and coprime, then
+    # one in each side's modular inverse, which also decides that side's
+    # denominator squarefree
+    p, q = ladder_chain[3]
+    coeffs = list(p.coeffs)
+    coeffs[10] *= F(4, 3)
+    euclid, calls = polyrat._euclid_mod, []
+    monkeypatch.setattr(polyrat, "_euclid_mod",
+                        lambda a, b, prime: calls.append((len(a) - 1, len(b) - 1)) or euclid(a, b, prime))
+    cert = certify_rational_integrals(ExactPoly(coeffs), q, 2)
+    assert len(cert.obstructions) == 2
+    assert calls == [(33, 32), (12, 11), (33, 12), (33, 32), (12, 11)]
 
 
 def test_certificate_unsupported_lambda():

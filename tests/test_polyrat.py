@@ -13,7 +13,6 @@ from charge_ladder.polyrat import (
     NotSquarefree,
     UndefinedGcd,
     exact_div,
-    extended_gcd,
     gcd_poly,
     hermite_reduce,
     integrate_rational,
@@ -223,15 +222,6 @@ def test_invert_mod_folded_inverse_mod_p(monkeypatch):
         assert polyrat._divmod_mod(polyrat._kmul(num, s), mod, n)[1] == [1]
 
 
-def test_extended_gcd_bezout():
-    rng = random.Random(31)
-    for _ in range(15):
-        a = random_poly(rng, rng.randint(1, 5))
-        b = random_poly(rng, rng.randint(1, 5))
-        g, s, t = extended_gcd(a, b)
-        assert s * a + t * b == g
-
-
 def test_invert_mod():
     m = Z ** 5 + 1
     a = 5 * Z ** 4
@@ -251,21 +241,18 @@ def test_invert_mod():
 
 
 def recorded_lift_stops(monkeypatch):
-    """Patch out extended_gcd and log the lift's steps in call order: "wang"
-    for each reconstruction, "double" for each Newton lift that doubles the
-    precision and the value of each resultant."""
+    """Log the lift's steps in call order: "wang" for each reconstruction,
+    "double" for each Newton lift that doubles the precision and the value of
+    each resultant; every lift must run mod a power of a prime in _PRIMES."""
     calls = []
     reconstruct, resultant, lift = polyrat._reconstruct, polyrat._resultant, polyrat._lift
 
-    def unreachable(*args):
-        raise AssertionError("extended_gcd called on a coprime pair")
-
     def recorded_lift(a, m, s, n, t):
+        assert any(n % prime == 0 for prime in polyrat._PRIMES), n
         if t == n:
             calls.append("double")
         return lift(a, m, s, n, t)
 
-    monkeypatch.setattr(polyrat, "extended_gcd", unreachable)
     monkeypatch.setattr(polyrat, "_lift", recorded_lift)
     monkeypatch.setattr(polyrat, "_reconstruct", lambda *args: calls.append("wang") or reconstruct(*args))
     monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
@@ -307,15 +294,34 @@ def test_invert_mod_read_off_fails_then_doubles(monkeypatch):
     assert calls[calls.index(1):] == [1, "double"]
 
 
-def test_invert_mod_falls_back_to_extended_gcd_when_every_prime_is_unlucky(monkeypatch):
+def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeypatch):
     # res(z^2 - P, z) = -P with P the product of the lift's primes: each of
-    # them divides the resultant, so none certifies coprimality and exact
-    # Euclid over Q decides it, once
+    # them divides the resultant, so none certifies coprimality.  The
+    # resultant, computed once, decides it, and the lift runs mod 2, the
+    # least prime dividing neither res nor lead(M); the first lift starts
+    # from that prime itself
     big = math.prod(polyrat._PRIMES)
-    extended_gcd, calls = polyrat.extended_gcd, []
-    monkeypatch.setattr(polyrat, "extended_gcd", lambda a, b: calls.append(1) or extended_gcd(a, b))
+    resultant, lift, calls, moduli = polyrat._resultant, polyrat._lift, [], []
+    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
+    monkeypatch.setattr(polyrat, "_lift", lambda a, m, s, n, t: moduli.append(n) or lift(a, m, s, n, t))
     assert invert_mod(Z, Z ** 2 - big) == Z / big
-    assert len(calls) == 1
+    assert calls == [-big] and moduli[0] == 2
+    # with an even lead, the lift runs mod 3
+    del calls[:], moduli[:]
+    assert invert_mod(Z, 2 * Z ** 2 - big) == 2 * Z / big
+    assert calls == [-big] and moduli[0] == 3
+
+
+def test_invert_mod_diagnoses_a_shared_factor_at_ladder_scale(ladder_chain, monkeypatch):
+    # p_3*g and q_3*g share g: every prime's Euclid finds a common factor, and
+    # the resultant, 0, decides that there is no inverse
+    p, q = ladder_chain[3]
+    g = Z ** 3 + F(5, 7) * Z + 1
+    resultant, calls = polyrat._resultant, []
+    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
+    with pytest.raises(NotCoprime):
+        invert_mod(p * g, q * g)
+    assert calls == [0]
 
 
 def sylvester(a, b):
