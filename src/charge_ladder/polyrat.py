@@ -4,13 +4,11 @@ A polynomial is stored as integer numerators over one positive common
 denominator, in ascending degree order with trailing zeros stripped and in
 lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
-run by Kronecker substitution and modular inverses by Newton lifting, both on
-Python integers; the lift stops at a rational reconstruction or, near the
-Hadamard bound, at the resultant.  A remainder-only Euclid mod a word-size
-prime certifies squarefree and coprime pairs; only the lift folds a cofactor
-from its quotients, and where no such prime certifies a pair to invert, the
-resultant decides it.  On top of the ring operations the module provides the
-symbolic primitives everything else is built on:
+run by Kronecker substitution, a remainder-only Euclid mod a word-size prime
+certifies squarefree and coprime pairs, and a modular inverse and the
+resultant deciding it come from one extended Euclid on many 31-bit primes
+at once in numpy and a CRT.  On top of the ring operations the module
+provides the symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -34,6 +32,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[int, str, Fraction]
 
@@ -497,26 +497,6 @@ def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     return quot, rem[:db], s
 
 
-def _divmod_mod(a: Sequence[int], b: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer vectors over Z/n, for lead(b) a unit
-    mod n; both reduced into [0, n), the remainder without trailing zeros and
-    the quotient topped by lead(a)/lead(b).  Only the entry that fixes the
-    next quotient digit is reduced inside the loop."""
-    inv = pow(b[-1], -1, n)
-    db = len(b) - 1
-    rem = list(a)
-    quot = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = quot[k] = rem[k + db] % n * inv % n
-        if c:
-            for j in range(db):
-                rem[k + j] -= c * b[j]
-    rem = [c % n for c in rem[:db]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
 def _primitive(ints: Sequence[int]) -> list[int]:
     """ints without trailing zeros, divided by their content, lead positive."""
     ints = list(ints)
@@ -534,29 +514,29 @@ def _primitive(ints: Sequence[int]) -> list[int]:
 # The common case here is certifying *coprimality* of large generated
 # polynomials, so gcd first tries a modular certificate: Euclid mod p on
 # remainders only, whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen
-# & Gerhard, Modern Computer Algebra, 6.4); invert_mod folds its cofactor from
-# the quotients.  Where that is inconclusive, gcd_poly runs a primitive
-# pseudo-remainder sequence over Z and invert_mod the resultant.
+# & Gerhard, Modern Computer Algebra, 6.4).  Where that is inconclusive,
+# gcd_poly runs a primitive pseudo-remainder sequence over Z.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
 
 
-def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> tuple[int, list[list[int]], int]:
-    """Euclid over GF(prime) on remainders only, for lead(a) nonzero mod prime.
-
-    Returns the degree of gcd(a, b), the quotients q_1, q_2, ... and the lead
-    of the last nonzero remainder, which the monic gcd is divided by.
-    """
+def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> int:
+    """Degree of gcd(a, b) over GF(prime), lead(a) nonzero mod prime, by Euclid
+    on remainders, reducing in a division only the entry fixing each digit."""
     r0, r1 = [c % prime for c in a], [c % prime for c in b]
-    while r1 and not r1[-1]:
-        r1.pop()
-    quots = []
     while r1:
-        quot, rem = _divmod_mod(r0, r1, prime)
-        quots.append(quot)
-        r0, r1 = r1, rem
-    return len(r0) - 1, quots, r0[-1]
+        if not r1[-1]:
+            r1.pop()
+            continue
+        inv, db = pow(r1[-1], -1, prime), len(r1) - 1
+        for k in range(len(r0) - 1 - db, -1, -1):
+            c = r0[k + db] % prime * inv % prime
+            if c:
+                for j in range(db):
+                    r0[k + j] -= c * r1[j]
+        r0, r1 = r1, [c % prime for c in r0[:db]]
+    return len(r0) - 1
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -583,106 +563,155 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         return a.monic()
     for prime in _PRIMES:
         if a._num[-1] % prime and b._num[-1] % prime:
-            if _euclid_mod(a._num, b._num, prime)[0] == 0:
+            if _euclid_mod(a._num, b._num, prime) == 0:
                 return ExactPoly.one()
             break
     return ExactPoly._ints(_int_gcd(a._num, b._num)).monic()
 
 
-# -- modular inverse by Newton lifting -----------------------------------------
+# -- modular inverse by many word-size primes ----------------------------------
 #
-# An obstructed Hermite reduction needs an inverse modulo a large polynomial
-# with bulky rational coefficients (log-free integrals are polynomial
-# solutions and need none).  Plain extended Euclid over Q suffers severe
-# intermediate blowup, so the inverse is computed mod one word-size prime,
-# lifted p-adically by Newton steps that double the precision, read back and
-# finally *verified exactly* (von zur Gathen & Gerhard, Modern Computer
-# Algebra, 5.10, 6.11 and 9).  A prime p not dividing lead(M) with
-# gcd(M, A) = 1 mod p makes res(M, A) a p-adic unit, so the inverse exists
-# with no p in its denominators.  The lift has two stops.  Below the Hadamard
-# bound of res(M, A), Wang's reconstruction reads it back after each doubling
-# as rationals over one denominator, which works once p**(2**j) exceeds twice
-# the square of their size: early for a small inverse.  Before the doubling
-# that would pass the bound, the resultant is computed instead: by
-# U*M + V*A = res(M, A) the inverse is V/res with V integral, so the lift goes
-# no further than bits(res) plus one word before it reads V off as symmetric
-# residues.  If V is larger, the check fails and the lift doubles and reads V
-# again: it needs no precision cap.  When no word-size prime certifies
-# coprimality (a common factor, or unlucky primes), res(M, A) decides it, as
-# it is 0 exactly when M and A share a factor (6.3); otherwise the lift runs
-# mod the least prime dividing neither res nor lead(M), straight to its stop.
+# For the numerators M, A of modulus and a, U*M + V*A = res(M, A) with U, V
+# integral and V, like res, made of Sylvester minors below the Hadamard bound
+# H; a's inverse is a multiple of V/res, and res = 0 exactly when M and A share
+# a factor (von zur Gathen & Gerhard, Modern Computer Algebra, 6.3).  Both are
+# read by CRT (ibid. 10.3) from residues mod primes below 2**31 covering 2*H
+# (W. S. Brown, J. ACM 18, 1971), a lane per prime in int64 numpy rows.
+
+_PRIME_CACHE: list[int] = []  # the primes below 2**31 found so far, descending
 
 
-def _lift(a: Sequence[int], m: Sequence[int], s: list[int], n: int, t: int) -> tuple[list[int], int]:
-    """From s*a = 1 (mod m, n) to s' with s'*a = 1 (mod m, n*t), t a power of
-    n's prime; returns s' and n*t.  Each Newton step s' = s + n*(s*h mod u),
-    h = (1 - a*s)/n, lifts by u = min(n, t): the last one only by what is
-    left of t, and the second product runs at precision u, not n*u."""
-    while t > 1:
-        u = min(n, t)
-        big = n * u
-        _, e = _divmod_mod(_kmul(a, s), m, big)
-        h = [-c // n for c in e]
-        h[0] = (1 - e[0]) // n
-        _, r = _divmod_mod(_kmul(s, h), m, u)
-        s, n, t = [x + n * y for x, y in itertools.zip_longest(s, r, fillvalue=0)], big, t // u
-    return s, n
+def _lane_primes(count: int) -> list[int]:
+    """The `count` largest primes below 2**31, in descending order, sieved on
+    first use from the 2**12 odd numbers below the least one found so far."""
+    while len(_PRIME_CACHE) < count:
+        qs = np.ones(46342, bool)  # the odd primes up to sqrt(2**31)
+        qs[:3] = qs[4::2] = False
+        for i in range(3, 216, 2):
+            if qs[i]:
+                qs[i * i::i] = False
+        qs = np.flatnonzero(qs)
+        base = (_PRIME_CACHE[-1] if _PRIME_CACHE else (1 << 31) + 1) - (1 << 13)
+        first = -base % qs * ((qs + 1) // 2) % qs  # base + 2*(first + j*q) = 0 (mod q)
+        counts = ((1 << 12) - first + qs - 1) // qs
+        step = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        odd = np.ones(1 << 12, bool)
+        odd[np.repeat(first, counts) + np.repeat(qs, counts) * step] = False
+        _PRIME_CACHE.extend((base + 2 * np.flatnonzero(odd)[::-1]).tolist())
+    return _PRIME_CACHE[:count]
 
 
-def _resultant(a: Sequence[int], b: Sequence[int]) -> int:
-    """res(a, b) of nonzero integer vectors without trailing zeros, 0 when
-    they share a factor, by the subresultant PRS (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 3.3.7): each pseudo-remainder
-    divides exactly by g*h**delta, so coefficients grow only linearly."""
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    a, b = [c // ca for c in a], [c // cb for c in b]
-    da, db = len(a) - 1, len(b) - 1
-    res = ca ** db * cb ** da
-    if da < db:  # res(a, b) = (-1)**(da*db) * res(b, a)
-        res = -res if da & db & 1 else res
-        a, b, da, db = b, a, db, da
-    g = h = 1
-    while db > 0:
-        delta = da - db
-        _, rem, s = _divmod_int(a, b)  # s divides lead(b)**(delta+1)
-        f, d = b[-1] ** (delta + 1) // s, g * h ** delta
-        while rem and not rem[-1]:
-            rem.pop()
-        res = -res if da & db & 1 else res
-        a, b, g = b, [c * f // d for c in rem], b[-1]
-        h = g ** delta // h ** (delta - 1) if delta else h
-        da, db = db, len(b) - 1
-    return res * (b[-1] ** da // h ** (da - 1) if da else h) if b else 0
+def _residues(values: Sequence[int], primes: Sequence[int]) -> "np.ndarray":
+    """values mod each prime below 2**31, as int64 of shape (values, primes):
+    a long division per group of 64 primes by their product, then a Horner
+    pass in numpy over 32-bit limbs (acc*2**32 + limb < 2**63 as acc < 2**31)."""
+    lanes = np.concatenate([primes, np.ones(-len(primes) % 64, np.int64)]).reshape(-1, 64)
+    mods = [math.prod(row) for row in lanes.tolist()]
+    rems = [abs(v) % q for v in values for q in mods]
+    width = -(-max(map(int.bit_length, rems)) // 32)
+    limbs = np.frombuffer(b"".join(r.to_bytes(4 * width, "little") for r in rems), "<u4")
+    limbs = limbs.reshape(len(values), len(mods), width).astype(np.int64)
+    acc = np.zeros((len(values),) + lanes.shape, np.int64)
+    for j in range(width - 1, -1, -1):
+        acc <<= 32
+        acc |= limbs[:, :, j, None]
+        acc %= lanes
+    acc, p = acc.reshape(len(values), -1)[:, :len(primes)], lanes.ravel()[:len(primes)]
+    return np.where(np.array([[v < 0] for v in values]), -acc % p, acc)
 
 
-def _reconstruct(residues: Sequence[int], n: int) -> tuple[list[int], int] | None:
-    """Numerators x_i and one denominator d, all at most sqrt(n/2) in size,
-    with x_i = d*residues[i] (mod n); None when there are none.
+def _euclid_lanes(m: "np.ndarray", a: "np.ndarray", primes: Sequence[int]):
+    """A fraction-free extended Euclid on the residues m, a of M, A, a row per
+    prime: the primes kept and, in columns, res(M, A) and V = res/A mod M
+    (deg A < deg M) per lane, or None for these if all kept lanes have res = 0.
+    A lane is dropped where its prime divides lead(M) or lead(A) or its
+    remainder degree falls below the others'; a kept lane's res is right.
+    Remainders r carry t, t*A = r (mod M).  A step takes F to b*F -
+    lead(F)*z**s*G, b = lead(G); where deg F > deg G two run as one, b*b*F -
+    b*lead(F)*z**s*G - c*z**(s-1)*G, c the second lead: entries lose two
+    products below 2**62 and stay above -2**63.  Once deg F < deg G, res(F, G)
+    = (-1)**(deg F*deg G) * b**(drop in deg F - steps*deg G) * res(G, F); in
+    the end res(F, b) = b**deg F for a constant b, and A**-1 = t/b."""
+    n, d1 = m.shape[1] - 1, a.shape[1] - 1
+    live = (m[:, n] != 0) & (a[:, d1] != 0)
+    p, rf, rg = np.asarray(primes, np.int64)[live, None], m[live], a[live]
+    tf, tg = np.zeros_like(rf), np.zeros_like(rf) + (np.arange(n + 1) == 0)  # t = 0 and 1
+    leads, exps, sign, d0 = np.ones((len(p), max(n, d1) + 2), np.int64), [], 0, n
+    while d1 > 0:
+        b, top, steps, tw = rg[:, d1:d1 + 1], d0, 0, max(n - d1 + 1, 1)
+        while d0 >= d1:
+            s, lead = d0 - d1, rf[:, d0:d0 + 1]
+            mult, digits = (b, [(lead, s)]) if not s else (b * b % p, [
+                (b * lead % p, s), ((b * rf[:, d0 - 1:d0] - lead * rg[:, d1 - 1:d1]) % p, s - 1)])
+            r, t = rf[:, :d0] * mult, tf[:, :tw] * mult
+            for c, shift in digits:
+                r[:, shift:] -= c * rg[:, :d0 - shift]
+                t[:, shift:] -= c * tg[:, :max(tw - shift, 0)]
+            np.remainder(r, p, out=rf[:, :d0])
+            np.remainder(t, p, out=tf[:, :tw])
+            steps, d0 = steps + len(digits), d0 - 1
+            while d0 >= 0 and not (live := rf[:, d0] != 0).any():
+                d0 -= 1
+            if d0 >= 0 and not live.all():  # drop the lanes below the others
+                rf, rg, tf, tg, p, leads = (x[live] for x in (rf, rg, tf, tg, p, leads))
+                b = rg[:, d1:d1 + 1]
+        if d0 < 0:
+            return p.ravel(), None
+        sign ^= top * d1 & 1
+        leads[:, len(exps)] = b[:, 0]
+        exps.append(top - d0 - steps * d1)
+        rf, rg, tf, tg, d0, d1 = rg, rf, tg, tf, d1, d0
+    leads[:, len(exps)] = rg[:, 0]
+    exps.append(d0 - 1)  # res/b = (-1)**sign * prod(leads**exps)
+    x, e, powers = leads[:, :len(exps)], np.abs(exps), np.ones_like(leads[:, :len(exps)])
+    while e.any():
+        powers = np.where(e & 1, powers * x % p, powers)
+        x, e = x * x % p, e >> 1
+    num, den = np.ones_like(p), np.ones_like(p)
+    for x, e in zip(powers.T, exps):
+        num, den = (num * x[:, None] % p, den) if e > 0 else (num, den * x[:, None] % p)
+    inv = [pow(x, -1, q) for x, q in zip(den.ravel().tolist(), p.ravel().tolist())]
+    h = (-1) ** sign * num * np.array(inv, np.int64)[:, None] % p
+    return p.ravel(), np.column_stack([h * rg[:, :1] % p, h * tg[:, :n] % p])
 
-    Wang's reconstruction (a half extended Euclid) runs only on a residue
-    that the running common denominator does not already bring under the
-    bound, so a vector whose coefficients share their denominator costs one
-    reconstruction and two multiplications per coefficient.
-    """
-    bound = math.isqrt(n >> 1)
-    den = 1
-    for v in residues:
-        r0, r1 = n, v * den % n
-        if min(r1, n - r1) <= bound:
-            continue
-        s0, s1 = 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        den *= abs(s1)
-        if den > bound or math.gcd(den, n) != 1:
-            return None
-    nums = [v * den % n for v in residues]
-    nums = [x - n if x > n >> 1 else x for x in nums]
-    if any(abs(x) > bound for x in nums):
-        return None
-    return nums, den
+
+def _crt(primes: "np.ndarray", residues: "np.ndarray") -> list[int]:
+    """The x_j, |x_j| < P/2, with x_j = residues[i, j] (mod p_i), P the primes'
+    product: sum_i y_ij*P/p_i mod P, y_ij = r_ij*w_i, up a subproduct tree;
+    w_i = (P/p_i)**-1 mod p_i from the same sum at y = 1, with no P-size weight."""
+
+    def up(vals):  # the first level in int64: y_L*p_R + y_R*p_L < 2**63
+        prods = primes
+        while len(prods) > 1:
+            if len(prods) % 2:  # a pad lane: prime 1, value 0
+                vals = np.concatenate([vals, np.zeros_like(vals[:1])])
+                prods = np.concatenate([prods, np.ones_like(prods[:1])])
+            vals = (vals[0::2] * prods[1::2, None] + vals[1::2] * prods[0::2, None]).astype(object)
+            prods = (prods[0::2] * prods[1::2]).astype(object)
+        return [int(v) for v in vals[0]], int(prods[0])
+
+    (s,), _ = up(np.ones_like(primes[:, None]))
+    w = [pow(x, -1, q) for x, q in zip(_residues([s], primes)[0].tolist(), primes.tolist())]
+    x, prod = up(residues * np.array(w, np.int64)[:, None] % primes[:, None])
+    return [v - prod if v > prod >> 1 else v for v in (v % prod for v in x)]
+
+
+def _resultant_cofactor(m: Sequence[int], a: Sequence[int]) -> tuple[int, list[int]]:
+    """res(M, A) of integer vectors, not both constant, and V with
+    V*A = res (mod M), deg V < deg M (for deg A < deg M), or [] if res = 0:
+    lanes, each prime above 2**30, are added until those kept cover 2*H,
+    H = |M|**deg A * |A|**deg M; zero lanes alone covering it prove res = 0."""
+    hadamard = ((len(a) - 1) * sum(c * c for c in m).bit_length()
+                + (len(m) - 1) * sum(c * c for c in a).bit_length()) // 2 + 1
+    found, zeros, used = [], 0, 0
+    while (count := hadamard // 30 + 1 - (sum(len(q) for q, _ in found) if found else zeros)) > 0:
+        primes = _lane_primes(used + count)[used:]
+        used += count
+        res = _residues(list(m) + list(a), primes)
+        kept, rows = _euclid_lanes(res[:len(m)].T, res[len(m):].T, primes)
+        zeros, found = (zeros + len(kept), found) if rows is None else (zeros, found + [(kept, rows)])
+    res, *v = _crt(*map(np.concatenate, zip(*found))) if found else (0,)
+    return res, v
 
 
 def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
@@ -694,46 +723,17 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         raise NotCoprime("zero has no inverse")
     if a.degree == 0:
         return ExactPoly.constant(1 / a.lead)
-    # modulus = M/dm and a = A/da, so a's inverse is da times A's
+    # modulus = M/dm and a = A/da, so a's inverse is da*V/res
     num, m = a._num, modulus._num
-    # bits of the Hadamard bound |res(M, A)| <= |M|**deg A * |A|**deg M
-    hadamard = ((len(num) - 1) * sum(c * c for c in m).bit_length()
-                + (len(m) - 1) * sum(c * c for c in num).bit_length()) // 2 + 1
-    res = None  # res(M, A), computed once, at the resultant stop at the latest
-    for prime in _PRIMES:
-        if m[-1] % prime:
-            deg, quots, lead = _euclid_mod(m, num, prime)
-            if deg == 0:
-                break
-    else:  # no word-size prime certifies coprimality: res(M, A) decides it
-        res = _resultant(m, num)
-        if not res:
-            raise NotCoprime("no inverse: the resultant is zero")
-        prime = next(p for p in itertools.count(2) if m[-1] % p and res % p
-                     and all(p % d for d in range(2, math.isqrt(p) + 1)))
-        _, quots, lead = _euclid_mod(m, num, prime)
-        hadamard = 0  # no Wang reconstruction: the first lift is the stop
-    # s*A = 1 (mod M, prime): A's cofactors t_(k+1) = t_(k-1) - q_k*t_k, over
-    # lead; q_k*t_k outranks t_(k-1) mod prime, so no trailing zero appears
-    t, s = [], [pow(lead, -1, prime)]
-    for quot in quots[:-1]:
-        t, s = s, [(x - y) % prime for x, y in
-                   itertools.zip_longest(t, _kmul(quot, s), fillvalue=0)]
-    n, k, stopped = prime, 1, False  # n = prime**k
-    while True:
-        if not stopped and 2 * n.bit_length() > hadamard:
-            # the resultant stop: lift to prime**j past bits(res) plus a word
-            res, stopped = _resultant(m, num) if res is None else res, True
-            j = max(k, -(-(res.bit_length() + 64) // (prime.bit_length() - 1)))
-            (s, n), k = _lift(num, m, s, n, prime ** (j - k)), j
-        else:
-            (s, n), k = _lift(num, m, s, n, n), 2 * k
-        found = (([c - n if c > n >> 1 else c for c in (x * res % n for x in s)], res)
-                 if stopped else _reconstruct(s, n))
-        if found is not None:
-            candidate = ExactPoly._ints([x * a._den for x in found[0]], found[1])
-            if ((candidate * a - 1) % modulus).is_zero:
-                return candidate
+    res, v = _resultant_cofactor(m, num)
+    if not res:
+        raise NotCoprime("no inverse: the resultant is zero")
+    check = [-res] + [0] * (len(num) + len(v) - 2)  # A*V - res by rows: V is far wider than A
+    for i, c in enumerate(num):
+        check[i:i + len(v)] = [x + c * y for x, y in zip(check[i:i + len(v)], v)]
+    if any(_divmod_int(check, m)[1]):
+        raise InvariantViolation("A*V - res(M, A) is not a multiple of M")
+    return ExactPoly._ints([x * a._den for x in v], res)
 
 
 def is_squarefree(p: ExactPoly) -> bool:

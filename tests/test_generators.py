@@ -180,12 +180,25 @@ def test_wronskian_reach_in_time():
 
 def test_invert_mod_resultant_stop_in_time():
     # the inverse z/3^40000 of z modulo z^2 - 3^40000 (a 63398-bit
-    # denominator) within 2 s: a regression gate on the lift's resultant
-    # stop (about 0.5 s), without which the lift runs to about four times
-    # that precision for Wang's reconstruction (4.4-4.8 s on a 2-CPU box)
+    # denominator) within 2 s: a regression gate on reducing a huge
+    # coefficient mod about 2100 lane primes and reading res and V back by
+    # CRT (about 0.05 s on a 2-CPU box)
     start = time.perf_counter()
     assert invert_mod(Z, Z ** 2 - 3 ** 40000) == Z / 3 ** 40000
     assert time.perf_counter() - start < 2
+
+
+def test_obstructed_certificate_in_time(ladder_chain):
+    # the obstructed i=3 neighbour of test_obstructed_certificate_decides_
+    # each_fact_once within 1 s: a regression gate on the modular inverse of
+    # p' mod p (degree 33, about 310 lanes), which writes out the log
+    # obstruction (about 0.1 s on a 2-CPU box)
+    p, q = ladder_chain[3]
+    coeffs = list(p.coeffs)
+    coeffs[10] *= F(4, 3)
+    start = time.perf_counter()
+    assert len(certify_rational_integrals(ExactPoly(coeffs), q, 2).obstructions) == 2
+    assert time.perf_counter() - start < 1
 
 
 # -- lambda2 ladder ------------------------------------------------------------------
@@ -381,17 +394,21 @@ def test_certificate_obstruction():
 def test_obstructed_certificate_decides_each_fact_once(ladder_chain, monkeypatch):
     # the i=3 pair with one coefficient of p scaled by 4/3 obstructs both
     # sides: one Euclid mod p each for p and q squarefree and coprime, then
-    # one in each side's modular inverse, which also decides that side's
-    # denominator squarefree
+    # one batch of lanes in each side's modular inverse, which also decides
+    # that side's denominator squarefree
     p, q = ladder_chain[3]
     coeffs = list(p.coeffs)
     coeffs[10] *= F(4, 3)
-    euclid, calls = polyrat._euclid_mod, []
+    euclid, lanes, calls, batches = polyrat._euclid_mod, polyrat._euclid_lanes, [], []
     monkeypatch.setattr(polyrat, "_euclid_mod",
                         lambda a, b, prime: calls.append((len(a) - 1, len(b) - 1)) or euclid(a, b, prime))
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: batches.append((m.shape[1] - 1, a.shape[1] - 1))
+                        or lanes(m, a, primes))
     cert = certify_rational_integrals(ExactPoly(coeffs), q, 2)
     assert len(cert.obstructions) == 2
-    assert calls == [(33, 32), (12, 11), (33, 12), (33, 32), (12, 11)]
+    assert calls == [(33, 32), (12, 11), (33, 12)]
+    assert batches == [(33, 32), (12, 11)]
 
 
 def test_certificate_unsupported_lambda():

@@ -193,33 +193,73 @@ def test_euclid_mod_degree_matches_integer_gcd():
         g = vec(shared)
         a, b = polyrat._kmul(g, vec(rng.randint(1, 5))), polyrat._kmul(g, vec(rng.randint(0, 5)))
         for prime in polyrat._PRIMES:
-            deg, quots, lead = polyrat._euclid_mod(a, b, prime)
-            assert deg == len(polyrat._int_gcd(a, b)) - 1
-            assert quots and 0 < lead < prime
+            assert polyrat._euclid_mod(a, b, prime) == len(polyrat._int_gcd(a, b)) - 1
 
 
-def test_invert_mod_folded_inverse_mod_p(monkeypatch):
-    # the inverse mod p that invert_mod folds from the Euclid quotients, as
-    # handed to the first Newton lift, satisfies s*A = 1 (mod M, p)
-    lift, seen = polyrat._lift, []
+def test_lane_primes_are_the_primes_below_2_31():
+    # the table against a Miller-Rabin test with bases 2, 7 and 61, which is
+    # exact below 4759123141, across eight sieve windows of 2**12 odd numbers
+    def is_prime(n):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for base in (2, 7, 61):
+            x = pow(base, d, n)
+            if x not in (1, n - 1) and all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+                return False
+        return True
 
-    def recorded(a, m, s, n, t):
-        seen.append((a, m, s, n))
-        return lift(a, m, s, n, t)
+    primes = polyrat._lane_primes(1600)
+    assert primes[0] == 2 ** 31 - 1
+    assert primes == [n for n in range(2 ** 31 - 1, primes[-1] - 1, -2) if is_prime(n)]
 
-    monkeypatch.setattr(polyrat, "_lift", recorded)
+
+def test_residues_match_python_remainders():
+    # zero, signs, values past one group's 64-prime product and a lane count
+    # that is not a multiple of 64
+    rng = random.Random(31)
+    primes = polyrat._lane_primes(150)
+    values = [0, 1, -1, 2 ** 31, -(3 ** 200), rng.getrandbits(5000), -rng.getrandbits(9000)]
+    out = polyrat._residues(values, primes)
+    assert out.shape == (len(values), len(primes))
+    assert out.tolist() == [[v % p for p in primes] for v in values]
+
+
+def sylvester_solve(a, m):
+    """V with V*a = 1 (mod m) and deg V < deg m, from U*m + V*a = 1 as a
+    linear system in the coefficients, by Gauss-Jordan over Fractions."""
+    a = a % m
+    n, k = int(m.degree), int(a.degree)
+    rows = [[F(0)] * (k + n) + [F(int(d == 0))] for d in range(n + k)]
+    for i in range(k):
+        for j, c in enumerate(m.coeffs):
+            rows[i + j][i] += c
+    for i in range(n):
+        for j, c in enumerate(a.coeffs):
+            rows[i + j][k + i] += c
+    for col in range(n + k):
+        pivot = next(r for r in range(col, n + k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n + k):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return ExactPoly([row[-1] for row in rows[k:]])
+
+
+def test_invert_mod_matches_sylvester_solve():
+    # random non-monic rational pairs, the residue of degree 0 up to one
+    # below the modulus, against the Sylvester system solved over Q
     rng = random.Random(5501)
-    for _ in range(30):
-        m = random_poly(rng, rng.randint(1, 7))
-        a = random_poly(rng, rng.randint(0, 8))
-        if (a % m).degree < 1 or gcd_poly(a, m).degree != 0:
+    checked = 0
+    for _ in range(60):
+        m = random_poly(rng, rng.randint(1, 7)) * nonzero_rational(rng, 9, 7)
+        a = random_poly(rng, rng.randint(0, 9)) * nonzero_rational(rng, 9, 7)
+        if (a % m).is_zero or gcd_poly(a, m).degree != 0:
             continue
-        del seen[:]
-        inv = invert_mod(a, m)
-        assert ((inv * a - 1) % m).is_zero
-        num, mod, s, n = seen[0]
-        assert n in polyrat._PRIMES and all(0 <= c < n for c in s)
-        assert polyrat._divmod_mod(polyrat._kmul(num, s), mod, n)[1] == [1]
+        assert invert_mod(a, m) == sylvester_solve(a, m)
+        checked += 1
+    assert checked > 40
 
 
 def test_invert_mod():
@@ -240,88 +280,71 @@ def test_invert_mod():
         invert_mod((Z - c) * (Z + 1), (Z - c) * (Z ** 2 + 2))
 
 
-def recorded_lift_stops(monkeypatch):
-    """Log the lift's steps in call order: "wang" for each reconstruction,
-    "double" for each Newton lift that doubles the precision and the value of
-    each resultant; every lift must run mod a power of a prime in _PRIMES."""
-    calls = []
-    reconstruct, resultant, lift = polyrat._reconstruct, polyrat._resultant, polyrat._lift
-
-    def recorded_lift(a, m, s, n, t):
-        assert any(n % prime == 0 for prime in polyrat._PRIMES), n
-        if t == n:
-            calls.append("double")
-        return lift(a, m, s, n, t)
-
-    monkeypatch.setattr(polyrat, "_lift", recorded_lift)
-    monkeypatch.setattr(polyrat, "_reconstruct", lambda *args: calls.append("wang") or reconstruct(*args))
-    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
-    return calls
-
-
-def test_invert_mod_lifts_past_2_18_bits(monkeypatch):
-    # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient,
-    # so the lift runs to about 2^19 bits; the exact Euclidean route is never
-    # taken.  b is a power of the lift's prime, so below the final precision
-    # every residue reads back at once, as 1.  Wang's reconstruction runs
-    # after each doubling below the Hadamard bound of res (about 2*268400
-    # bits); the resultant stop comes before the doubling that would pass it.
-    # There res = 1, and the precision already exceeds b: V = 1 - b*z reads
-    # off at once, and Wang never runs after the resultant
-    calls = recorded_lift_stops(monkeypatch)
+def test_invert_mod_past_2_18_bits():
+    # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient
+    # and the Hadamard bound of res twice that, so about 17900 lanes run and
+    # the input itself is reduced by long divisions before the limbs.  For a
+    # 9000-bit b: with 7 + b*z, res = 49 and V = 7 - b*z; modulo z^3,
+    # V = 1 - b*z + b^2*z^2
     b = polyrat._PRIMES[0] ** 4400
     assert b.bit_length() > 1 << 18
     assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
-    assert set(calls[:calls.index(1)]) == {"double", "wang"}
-    assert calls[calls.index(1):] == [1]
-
-
-def test_invert_mod_read_off_fails_then_doubles(monkeypatch):
-    # res(z^2, 7 + b*z) = 49 while V = 49*(7 + b*z)^-1 = 7 - b*z has a
-    # 268400-bit coefficient, far more than bits(res) plus a word; the lift's
-    # precision at the resultant stop exceeds it, so V reads off at once
-    calls = recorded_lift_stops(monkeypatch)
-    b = polyrat._PRIMES[0] ** 4400
-    assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
-    assert calls[calls.index(49):] == [49]
-    # modulo z^3, res = 1 and V = 1 - b*z + b^2*z^2 has 18000 bits for a
-    # 9000-bit b, more than the 15616 bits the stop reads at: the exact check
-    # fails, and the lift doubles and reads V again with the same res, not
-    # with Wang's reconstruction
-    del calls[:]
     b = 3 ** 5678
+    assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
     assert invert_mod(1 + b * Z, Z ** 3) == 1 - b * Z + b * b * Z ** 2
-    assert calls[calls.index(1):] == [1, "double"]
 
 
 def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeypatch):
-    # res(z^2 - P, z) = -P with P the product of the lift's primes: each of
-    # them divides the resultant, so none certifies coprimality.  The
-    # resultant, computed once, decides it, and the lift runs mod 2, the
-    # least prime dividing neither res nor lead(M); the first lift starts
-    # from that prime itself
-    big = math.prod(polyrat._PRIMES)
-    resultant, lift, calls, moduli = polyrat._resultant, polyrat._lift, [], []
-    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
-    monkeypatch.setattr(polyrat, "_lift", lambda a, m, s, n, t: moduli.append(n) or lift(a, m, s, n, t))
-    assert invert_mod(Z, Z ** 2 - big) == Z / big
-    assert calls == [-big] and moduli[0] == 2
-    # with an even lead, the lift runs mod 3
-    del calls[:], moduli[:]
-    assert invert_mod(Z, 2 * Z ** 2 - big) == 2 * Z / big
-    assert calls == [-big] and moduli[0] == 3
+    # a lane whose prime divides lead(M), lead(A) or res(M, A) gives no
+    # inverse.  With the prime table patched so that such primes, taken from
+    # deeper in the table, come first, those lanes are dropped at the start
+    # or mid-Euclid, further lanes make up the bound, and every inverse is
+    # unchanged.  The word-size primes of the gcd certificate all divide
+    # res(z^2 - P, z) = -P and play no part
+    table = polyrat._lane_primes(3000)
+    q = table[100:106]
+    cases = [(Z, Z ** 2 - math.prod(polyrat._PRIMES)),
+             (Z + 1, q[0] * q[1] * Z ** 2 - 3),  # q0, q1 divide lead(M)
+             (Z, Z ** 2 - q[2] * q[3] * q[4]),  # q2, q3, q4 divide res
+             (q[0] * Z + 1, Z ** 2 + 3)]  # q0 divides lead(A)
+    expected = [invert_mod(a, m) for a, m in cases]
+    assert expected[2] == Z / (q[2] * q[3] * q[4])
+    unlucky = [{p for p in q for c in (m._num[-1], a._num[-1],
+                                       polyrat._resultant_cofactor(m._num, (a % m)._num)[0]) if c % p == 0}
+               for a, m in cases]
+    assert unlucky[1:] == [{q[0], q[1]}, {q[2], q[3], q[4]}, {q[0]}]
+    euclid, batches = polyrat._euclid_lanes, []
+    monkeypatch.setattr(polyrat, "_lane_primes",
+                        lambda count: (q + [p for p in table if p not in q])[:count])
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: batches.append((primes, euclid(m, a, primes)))
+                        or batches[-1][1])
+    # batches of lanes: the first takes the bound's count from q0 on, each
+    # further one the count its predecessors lost; in the third case q2 and
+    # q3 fall in the first batch and q4 in the second
+    for (a, m), inverse, bad, count in zip(cases, expected, unlucky, (1, 2, 3, 2)):
+        del batches[:]
+        assert invert_mod(a, m) == inverse
+        assert batches[0][0][0] == q[0] and len(batches) == count
+        assert not bad & {int(p) for _, (kept, _) in batches for p in kept}
 
 
 def test_invert_mod_diagnoses_a_shared_factor_at_ladder_scale(ladder_chain, monkeypatch):
-    # p_3*g and q_3*g share g: every prime's Euclid finds a common factor, and
-    # the resultant, 0, decides that there is no inverse
+    # p_3*g and q_3*g share g: every lane's remainders vanish at the common
+    # factor, and once the zero lanes cover twice the Hadamard bound of res,
+    # res = 0 is proved and there is no inverse
     p, q = ladder_chain[3]
     g = Z ** 3 + F(5, 7) * Z + 1
-    resultant, calls = polyrat._resultant, []
-    monkeypatch.setattr(polyrat, "_resultant", lambda *args: calls.append(resultant(*args)) or calls[-1])
+    euclid, batches = polyrat._euclid_lanes, []
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: batches.append(euclid(m, a, primes)) or batches[-1])
     with pytest.raises(NotCoprime):
         invert_mod(p * g, q * g)
-    assert calls == [0]
+    m, a = (q * g)._num, ((p * g) % (q * g))._num
+    hadamard = ((len(a) - 1) * sum(c * c for c in m).bit_length()
+                + (len(m) - 1) * sum(c * c for c in a).bit_length()) // 2 + 1
+    assert all(rows is None for _, rows in batches)
+    assert math.prod(int(x) for kept, _ in batches for x in kept) > 2 ** (hadamard + 1)
 
 
 def sylvester(a, b):
@@ -334,11 +357,12 @@ def sylvester(a, b):
 
 
 def test_resultant_matches_sylvester_determinant():
-    # seeded pairs with deg a + deg b <= 7, plain, with a shared factor
-    # (res 0), a degree gap of 2 or more either way, negative leads, contents
-    # above 1, a degree-0 operand and unequal odd degrees (where the order of
-    # the arguments flips the sign), against the Leibniz determinant of the
-    # Sylvester matrix; the sign is exact, in both argument orders
+    # the resultant the lanes read, for seeded pairs with deg a + deg b <= 7,
+    # plain, with a shared factor (res 0), a degree gap of 2 or more either
+    # way, negative leads, contents above 1, a degree-0 operand and unequal
+    # odd degrees (where the order of the arguments flips the sign), against
+    # the Leibniz determinant of the Sylvester matrix; the sign is exact, in
+    # both argument orders
     rng = random.Random(3307)
 
     def vec(degree):
@@ -363,9 +387,9 @@ def test_resultant_matches_sylvester_determinant():
         elif kind == "odd":
             a, b = vec(1), vec(rng.choice((3, 5)))
         for x, y in ((a, b), (b, a)):
-            assert polyrat._resultant(x, y) == leibniz_det(sylvester(x, y))
+            assert polyrat._resultant_cofactor(x, y)[0] == leibniz_det(sylvester(x, y))
         if kind == "shared":
-            assert polyrat._resultant(a, b) == 0
+            assert polyrat._resultant_cofactor(a, b) == (0, [])
 
 
 def test_squarefree_factorization_yun():
