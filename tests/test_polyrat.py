@@ -280,17 +280,23 @@ def test_invert_mod():
         invert_mod((Z - c) * (Z + 1), (Z - c) * (Z ** 2 + 2))
 
 
-def test_invert_mod_past_2_18_bits():
+def test_invert_mod_lifts_past_2_18_bits():
     # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient
     # and the Hadamard bound of res twice that, so about 17900 lanes run and
-    # the input itself is reduced by long divisions before the limbs.  For a
-    # 9000-bit b: with 7 + b*z, res = 49 and V = 7 - b*z; modulo z^3,
-    # V = 1 - b*z + b^2*z^2
+    # the input itself is reduced by long divisions before the limbs
     b = polyrat._PRIMES[0] ** 4400
     assert b.bit_length() > 1 << 18
     assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
-    b = 3 ** 5678
+
+
+def test_invert_mod_read_off_fails_then_doubles():
+    # res(z^2, 7 + b*z) = 49 while V = 49*(7 + b*z)^-1 = 7 - b*z has a
+    # 268400-bit coefficient, far more than bits(res): the CRT must cover the
+    # Hadamard bound of V, not of res alone.  Modulo z^3, V = 1 - b*z + b^2*z^2
+    # has 18000 bits for a 9000-bit b, twice the bits of the input
+    b = polyrat._PRIMES[0] ** 4400
     assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
+    b = 3 ** 5678
     assert invert_mod(1 + b * Z, Z ** 3) == 1 - b * Z + b * b * Z ** 2
 
 
