@@ -21,6 +21,8 @@ inv = 1/|z_i - z_j|**2 and the coordinate differences times inv give
 1/(z_i - z_j) without complex arithmetic.  `integrate` evolves the real state
 (x_1..x_N, y_1..y_N), builds the kernel once per Runge-Kutta stage and takes
 H and the collision test of an accepted step from its last stage's kernel.
+A trajectory keeps each accepted step as a `TrajectorySample`: two complex128
+arrays (positions, velocities), not a ChargeSystem and Python lists.
 Every entry point takes its system through the admission check of `numerics`.
 """
 
@@ -81,12 +83,31 @@ def vortex_rhs(system: ChargeSystem) -> list[complex]:
     return _complex(_pair_kernel(*_admit(system)[:2])[0]).tolist()
 
 
-@dataclass
 class TrajectorySample:
-    t: float
-    system: ChargeSystem
-    velocities: list[complex]
-    invariant: complex
+    """One accepted step: its time t, the invariant H, and the positions and
+    velocities as two complex128 arrays; the charges and field are shared by
+    every sample of a run.  `system` and `velocities` build a new
+    ChargeSystem and list from the arrays on each access."""
+
+    __slots__ = ("t", "invariant", "_zs", "_vs", "_charges", "_field")
+
+    def __init__(self, t: float, system: ChargeSystem, velocities: list[complex],
+                 invariant: complex):
+        self._set(t, np.asarray(system.positions, complex), np.asarray(velocities, complex),
+                  invariant, system.charges, system.field)
+
+    def _set(self, t, zs, vs, invariant, charges, fld) -> "TrajectorySample":
+        self.t, self.invariant, self._zs, self._vs = t, invariant, zs, vs
+        self._charges, self._field = charges, fld
+        return self
+
+    @property
+    def system(self) -> ChargeSystem:
+        return ChargeSystem(self._zs.tolist(), self._charges, field=self._field)
+
+    @property
+    def velocities(self) -> list[complex]:
+        return self._vs.tolist()
 
 
 @dataclass
@@ -149,10 +170,12 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
     except CollisionError as exc:
         raise CollisionDetected(0.0, exc.pair, traj) from exc
 
+    charges = qs.tolist()
+
     def record(t: float, y: np.ndarray, d: np.ndarray, inv: np.ndarray, v: np.ndarray) -> None:
-        snap = ChargeSystem(_complex(y).tolist(), qs.tolist(), field=system.field)
         v = _complex(v)
-        traj.samples.append(TrajectorySample(t, snap, v.tolist(), _invariant(d, inv, qs, v)))
+        traj.samples.append(TrajectorySample.__new__(TrajectorySample)._set(
+            t, _complex(y), v, _invariant(d, inv, qs, v), charges, system.field))
 
     t, n = 0.0, xy.shape[1]
     y, radius = xy.reshape(-1), np.abs(_complex(xy))  # the real state (x, y)

@@ -137,7 +137,7 @@ def _require_finite(system: ChargeSystem) -> None:
 
 def to_floats(p: ExactPoly) -> np.ndarray:
     """Ascending-degree float64 coefficients (nearest-double rounding)."""
-    return np.array([c.numerator / c.denominator for c in p.coeffs], dtype=float)
+    return np.array([n / p._den for n in p._num], dtype=float)
 
 
 def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -220,8 +220,9 @@ def roots(p: ExactPoly) -> list[complex]:
     deg = p.degree
     if deg < 1:
         raise ValueError("root extraction needs degree >= 1")
-    scale = max(abs(c) for c in p.coeffs)
-    cf = np.array([float(c / scale) for c in p.coeffs], dtype=float)
+    # int / int rounds correctly, as float(Fraction) does, without the Fractions
+    scale = max(abs(n) for n in p._num)
+    cf = np.array([n / scale for n in p._num], dtype=float)
     if not cf[-1]:  # np.roots would drop it and return fewer roots
         raise ConvergenceFailure("float64 cannot hold the roots: the lead coefficient scales to 0")
     try:

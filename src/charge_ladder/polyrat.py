@@ -894,7 +894,7 @@ def hermite_reduce(num: ExactPoly, p: ExactPoly) -> ReductionResult:
         inv = invert_mod(dp, p)
     except NotCoprime as exc:
         raise NotSquarefree("hermite_reduce requires a squarefree denominator base") from exc
-    c = (-rem * inv) % p
+    c = (-(rem % p) * inv) % p
     b = exact_div(rem + c * dp, p) - c.derivative()
     return ReductionResult(poly_part.antiderivative(), c, b)
 

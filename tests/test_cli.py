@@ -5,8 +5,9 @@ import pytest
 
 from charge_ladder import cli
 from charge_ladder.cli import main
+from charge_ladder.dynamics import integrate
 from charge_ladder.generators import BracketParams, bracket
-from charge_ladder.numerics import MultipleRootWarning
+from charge_ladder.numerics import ChargeSystem, MultipleRootWarning
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
 from conftest import FLOAT64_BEYOND_PAIRS
 
@@ -263,6 +264,26 @@ def test_simulate_ok_with_drift_summary(tmp_path, capsys):
     assert summary["invariant_drift_rel"] < 1e-8
     record = json.loads(out_path.read_text().splitlines()[0])
     assert set(record) == {"t", "positions", "velocities", "H"}
+
+
+def test_simulate_records_equal_every_library_sample(tmp_path, capsys):
+    # bit for bit, signed zeros included (repr tells them apart): a charge
+    # starts at the origin as -0.0 - 0.0j, and every imaginary part is zero
+    system = ChargeSystem([-1, complex(-0.0, -0.0), 1.5], [1.0, 1.0, 1.0])
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(system.to_json()))
+    out_path = tmp_path / "traj.jsonl"
+    code, _, _ = run(capsys, "simulate", "--init", str(init), "--t-end", "1",
+                     "--out", str(out_path))
+    assert code == 0
+    expect = [{"t": s.t,
+               "positions": [[z.real, z.imag] for z in s.system.positions],
+               "velocities": [[v.real, v.imag] for v in s.velocities],
+               "H": [s.invariant.real, s.invariant.imag]}
+              for s in integrate(system, 1.0).samples]
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(records) > 2 and repr(records) == repr(expect)
+    assert repr(expect[0]["positions"][1]) == "[-0.0, 0.0]"
 
 
 def test_simulate_short_horizon(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -8,6 +10,7 @@ from charge_ladder import dynamics
 from charge_ladder.dynamics import (
     CollisionDetected,
     StepSizeUnderflow,
+    TrajectorySample,
     acceleration_residual,
     bilinear_residual,
     conserved_quantity,
@@ -414,3 +417,34 @@ def test_trajectory_sample_velocities_recomputable():
         for sample in traj.samples:
             assert sample.velocities == vortex_rhs(sample.system)
             assert sample.invariant == conserved_quantity(sample.system)
+
+
+def test_trajectory_sample_round_trips_its_inputs():
+    # repr tells signed zeros apart; every float comes back with its bits
+    system = ChargeSystem([0j, complex(-0.0, 1.5), complex(5e-324, -0.0)], [1.0, -2.5, 1.0],
+                          field=complex(-0.0, 0.25))
+    velocities = [complex(0.0, -0.0), 3 + 4j, complex(-1e300, 5e-324)]
+    sample = TrajectorySample(0.5, system, velocities, complex(1.0, -0.0))
+    assert repr(sample.system) == repr(system)
+    assert repr(sample.velocities) == repr(velocities)
+    assert (repr(sample.t), repr(sample.invariant)) == ("0.5", "(1-0j)")
+    assert sample.system is not sample.system  # a new ChargeSystem on each access
+
+
+def test_trajectory_holds_under_48_bytes_per_charge_per_sample():
+    # a sample keeps two complex128 arrays, 32 bytes a charge; a ChargeSystem
+    # and a list of Python complex per step held about 120
+    n = 100
+    system = random_separated_config(random.Random(7), n, 2.0, box=2.0 * (n / 8) ** 0.5)
+    integrate(system, 1e-3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(system, 0.15)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 20 <= len(traj.samples) <= 60
+    assert held < 48 * n * len(traj.samples)
