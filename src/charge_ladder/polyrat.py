@@ -5,10 +5,10 @@ denominator, in ascending degree order with trailing zeros stripped and in
 lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
 run by Kronecker substitution, a remainder-only Euclid mod a word-size prime
-certifies squarefree and coprime pairs, and a modular inverse and the
-resultant deciding it come from one extended Euclid on many 31-bit primes
-at once in numpy and a CRT.  On top of the ring operations the module
-provides the symbolic primitives everything else is built on:
+certifies squarefree and coprime pairs, and every other gcd, a modular
+inverse and the resultant deciding it come from one extended Euclid on many
+31-bit primes at once in numpy and a CRT.  On top of the ring operations the
+module provides the symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -497,17 +497,6 @@ def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     return quot, rem[:db], s
 
 
-def _primitive(ints: Sequence[int]) -> list[int]:
-    """ints without trailing zeros, divided by their content, lead positive."""
-    ints = list(ints)
-    while ints and ints[-1] == 0:
-        ints.pop()
-    content = math.gcd(*ints)
-    if ints and ints[-1] < 0:
-        content = -content
-    return [v // content for v in ints] if content not in (0, 1) else ints
-
-
 # ---------------------------------------------------------------------------
 # gcd machinery
 #
@@ -515,7 +504,8 @@ def _primitive(ints: Sequence[int]) -> list[int]:
 # polynomials, so gcd first tries a modular certificate: Euclid mod p on
 # remainders only, whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen
 # & Gerhard, Modern Computer Algebra, 6.4).  Where that is inconclusive,
-# gcd_poly runs a primitive pseudo-remainder sequence over Z.
+# gcd_poly reads the gcd by the small-primes modular gcd (ibid. 6.7; W. S.
+# Brown, J. ACM 18, 1971) from the lanes and CRT of the modular inverse below.
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
@@ -539,21 +529,17 @@ def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> int:
     return len(r0) - 1
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive pseudo-remainder sequence over Z."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_divmod_int(a, b)[1])
-    return a
-
-
 def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """Monic greatest common divisor over Q.
 
     gcd(p, p') of degree 0 certifies p squarefree; gcd(p, q) of degree 0
-    certifies p, q coprime.
+    certifies p, q coprime.  Past the certificate, with A the longer of the
+    numerators A, B and gamma = gcd(lead A, lead B), each lane gives gamma
+    times the monic gcd mod its prime, of degree k at least the true one.
+    Lanes of the least k seen, covering twice the Landau-Mignotte bound
+    gamma*2**k*min(|A|_2, |B|_2) on that multiple of the gcd, are read by CRT;
+    a result dividing A and B exactly is the gcd.  A lane of degree 0 proves
+    gcd 1, and a failed division that every lane so far was unlucky.
     """
     if a.is_zero and b.is_zero:
         raise UndefinedGcd("gcd(0, 0) is undefined")
@@ -566,7 +552,27 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
             if _euclid_mod(a._num, b._num, prime) == 0:
                 return ExactPoly.one()
             break
-    return ExactPoly._ints(_int_gcd(a._num, b._num)).monic()
+    f, g = sorted((a._num, b._num), key=len, reverse=True)
+    gamma = math.gcd(f[-1], g[-1])
+    bits = gamma.bit_length() + min(sum(c * c for c in v).bit_length() for v in (f, g)) // 2 + 2
+    found, top, used = [], len(g) - 1, 0  # the lanes of degree top, the least seen
+    while True:
+        while (count := (bits + top) // 30 + 1 - sum(len(q) for q, _ in found)) > 0:
+            primes = _lane_primes(used + count)[used:]
+            used += count
+            res = _residues(f + g, primes)
+            kept, shared, rows = _euclid_lanes(res[:len(f)].T, res[len(f):].T, primes)
+            if not shared:
+                return ExactPoly.one()
+            if (k := rows.shape[1] - 1) <= top:  # a lower degree replaces every lane found
+                unit = np.array([gamma * pow(x, -1, q) % q  # gamma/lead mod q
+                                 for x, q in zip(rows[:, -1].tolist(), kept.tolist())], np.int64)
+                found, top = (found if k == top else []) + [(kept, rows * unit[:, None] % kept[:, None])], k
+        w = _crt(*map(np.concatenate, zip(*found)))
+        h = ExactPoly._ints(w, w[-1])
+        if not any(any(_divmod_int(v, h._num)[1]) for v in (f, g)):
+            return h
+        found, top = [], top - 1
 
 
 # -- modular inverse by many word-size primes ----------------------------------
@@ -622,10 +628,12 @@ def _residues(values: Sequence[int], primes: Sequence[int]) -> "np.ndarray":
 
 def _euclid_lanes(m: "np.ndarray", a: "np.ndarray", primes: Sequence[int]):
     """A fraction-free extended Euclid on the residues m, a of M, A, a row per
-    prime: the primes kept and, in columns, res(M, A) and V = res/A mod M
-    (deg A < deg M) per lane, or None for these if all kept lanes have res = 0.
-    A lane is dropped where its prime divides lead(M) or lead(A) or its
-    remainder degree falls below the others'; a kept lane's res is right.
+    prime, deg A <= deg M: the primes kept, whether every kept lane's
+    remainders vanish (res = 0), and in columns per lane the last nonzero
+    remainder (gcd(M, A) mod the prime up to a unit) if they do, else res(M, A)
+    and V = res/A mod M (for deg A < deg M).  A lane is dropped where its
+    prime divides lead(M) or lead(A) or its remainder degree falls below the
+    others'; a kept lane's res is right.
     Remainders r carry t, t*A = r (mod M).  A step takes F to b*F -
     lead(F)*z**s*G, b = lead(G); where deg F > deg G two run as one, b*b*F -
     b*lead(F)*z**s*G - c*z**(s-1)*G, c the second lead: entries lose two
@@ -656,7 +664,7 @@ def _euclid_lanes(m: "np.ndarray", a: "np.ndarray", primes: Sequence[int]):
                 rf, rg, tf, tg, p, leads = (x[live] for x in (rf, rg, tf, tg, p, leads))
                 b = rg[:, d1:d1 + 1]
         if d0 < 0:
-            return p.ravel(), None
+            return p.ravel(), True, rg[:, :d1 + 1]
         sign ^= top * d1 & 1
         leads[:, len(exps)] = b[:, 0]
         exps.append(top - d0 - steps * d1)
@@ -672,7 +680,7 @@ def _euclid_lanes(m: "np.ndarray", a: "np.ndarray", primes: Sequence[int]):
         num, den = (num * x[:, None] % p, den) if e > 0 else (num, den * x[:, None] % p)
     inv = [pow(x, -1, q) for x, q in zip(den.ravel().tolist(), p.ravel().tolist())]
     h = (-1) ** sign * num * np.array(inv, np.int64)[:, None] % p
-    return p.ravel(), np.column_stack([h * rg[:, :1] % p, h * tg[:, :n] % p])
+    return p.ravel(), False, np.column_stack([h * rg[:, :1] % p, h * tg[:, :n] % p])
 
 
 def _crt(primes: "np.ndarray", residues: "np.ndarray") -> list[int]:
@@ -708,8 +716,8 @@ def _resultant_cofactor(m: Sequence[int], a: Sequence[int]) -> tuple[int, list[i
         primes = _lane_primes(used + count)[used:]
         used += count
         res = _residues(list(m) + list(a), primes)
-        kept, rows = _euclid_lanes(res[:len(m)].T, res[len(m):].T, primes)
-        zeros, found = (zeros + len(kept), found) if rows is None else (zeros, found + [(kept, rows)])
+        kept, shared, rows = _euclid_lanes(res[:len(m)].T, res[len(m):].T, primes)
+        zeros, found = (zeros + len(kept), found) if shared else (zeros, found + [(kept, rows)])
     res, *v = _crt(*map(np.concatenate, zip(*found))) if found else (0,)
     return res, v
 

@@ -33,6 +33,24 @@ def leibniz_det(matrix) -> ExactPoly:
     return total
 
 
+def euclid_gcd(a, b) -> list[Fraction]:
+    """Monic gcd of two ascending coefficient lists, not both zero, by plain
+    Euclid over Q on Fractions; a reference sharing no code with polyrat."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    for v in (a, b):
+        while v and v[-1] == 0:
+            v.pop()
+    while b:
+        while len(a) >= len(b):
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for j, x in enumerate(b):
+                a[shift + j] -= c * x
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
 Z = ExactPoly.x()
 
 # valid (squarefree, coprime) pairs (p, q, lam) that float64 cannot hold

@@ -1,11 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from charge_ladder import polyrat
-from charge_ladder.generators import BracketParams, bracket
+from charge_ladder.generators import BracketParams, bracket, certify_rational_integrals
 from charge_ladder.polyrat import (
     DivisionByZero,
     ExactPoly,
@@ -23,7 +24,7 @@ from charge_ladder.polyrat import (
     squarefree_factorization,
     wronskian,
 )
-from conftest import leibniz_det, nonzero_rational
+from conftest import euclid_gcd, leibniz_det, nonzero_rational
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
@@ -183,7 +184,7 @@ def test_coprimality_certificate_makes_no_product(ladder_chain, monkeypatch):
 
 def test_euclid_mod_degree_matches_integer_gcd():
     # coprime pairs and products with a shared factor of degree 1..3, on
-    # every prime: the gcd degree mod p equals that of the PRS over Z
+    # every prime: the gcd degree mod p equals that of Euclid over Q
     rng = random.Random(4409)
 
     def vec(degree):
@@ -193,8 +194,105 @@ def test_euclid_mod_degree_matches_integer_gcd():
         g = vec(shared)
         a, b = polyrat._kmul(g, vec(rng.randint(1, 5))), polyrat._kmul(g, vec(rng.randint(0, 5)))
         for prime in polyrat._PRIMES:
-            assert polyrat._euclid_mod(a, b, prime) == len(polyrat._int_gcd(a, b)) - 1
+            assert polyrat._euclid_mod(a, b, prime) == len(euclid_gcd(a, b)) - 1
 
+
+def test_gcd_by_lanes_matches_euclid_over_q(monkeypatch):
+    # with no word-size certificate every pair runs lanes: equal degrees, one
+    # operand a multiple of the other, contents above 1, negative leads,
+    # rational coefficients and a degree-0 operand, each with a shared factor
+    # of degree 0..3, against Euclid over Q in both argument orders
+    rng = random.Random(6607)
+    monkeypatch.setattr(polyrat, "_PRIMES", ())
+    lanes, runs = polyrat._euclid_lanes, []
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: runs.append(1) or lanes(m, a, primes))
+
+    def poly(degree, den=1):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, den)) for _ in range(degree)]
+        return ExactPoly(coeffs + [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, den))])
+
+    degrees = set()
+    for kind in ("equal", "multiple", "content", "negative", "rational", "constant") * 5:
+        for shared in range(4):
+            den = 4 if kind == "rational" else 1
+            g = poly(shared, den)
+            a, b = g * poly(rng.randint(0, 3), den), g * poly(rng.randint(0, 3), den)
+            if kind == "equal":
+                b = g * poly(int(a.degree - g.degree))
+            elif kind == "multiple":
+                b = a * poly(rng.randint(0, 1))
+            elif kind == "content":
+                a, b = a * 6, b * 10
+            elif kind == "negative":
+                a, b = (x * (-1 if x.lead > 0 else 1) for x in (a, b))
+            elif kind == "constant":
+                b = poly(0)
+            for x, y in ((a, b), (b, a)):
+                del runs[:]
+                got = gcd_poly(x, y)
+                assert list(got.coeffs) == euclid_gcd(x.coeffs, y.coeffs) and runs
+                degrees.add(got.degree)
+    assert degrees >= {0, 1, 2, 3}
+
+
+def test_gcd_by_lanes_survives_a_false_common_factor(monkeypatch):
+    # z^2 - P and z are coprime, but modulo each prime dividing P they share
+    # z: the word-size certificate and the first two lanes see it.  The first
+    # lane's z does not divide z^2 - P, so every lane so far was unlucky; the
+    # second lane, of degree 1 again, is discarded and the third proves gcd 1
+    table = polyrat._lane_primes(3)
+    big = polyrat._PRIMES[0] * table[0] * table[1]
+    lanes, batches = polyrat._euclid_lanes, []
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: batches.append(lanes(m, a, primes)) or batches[-1])
+    for a, b in ((Z ** 2 - big, Z), (Z, Z ** 2 - big)):
+        del batches[:]
+        assert gcd_poly(a, b) == ONE
+        assert [(kept.tolist(), shared) for kept, shared, _ in batches] == [
+            ([table[0]], True), ([table[1]], True), ([table[2]], False)]
+
+
+def test_gcd_by_lanes_when_a_whole_batch_is_unlucky(monkeypatch):
+    # g = gcd(A, B) for A = q0*g*(z^2 - q1*...*q_k-1), B = g*z, with the prime
+    # table patched so that q0, dividing lead(A), and the primes dividing the
+    # constant come first: the first batch of six lanes drops q0 and keeps
+    # only lanes of degree deg g + 1.  With k = 6 a lucky lane of lower degree
+    # replaces them; with k = 7 one more unlucky lane makes up the bound, the
+    # CRT result fails to divide, and a fresh batch reads g
+    table = polyrat._lane_primes(3000)
+    q = table[100:110]
+    g = Z ** 3 + F(5, 7) * Z + 3 ** 100
+    lanes, batches = polyrat._euclid_lanes, []
+    monkeypatch.setattr(polyrat, "_lane_primes",
+                        lambda count: (q + [p for p in table if p not in q])[:count])
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, primes: batches.append(lanes(m, a, primes)) or batches[-1])
+    for k, degrees in ((6, [4, 3, 3]), (7, [4, 4, 3])):
+        del batches[:]
+        assert gcd_poly(q[0] * g * (Z ** 2 - math.prod(q[1:k])), g * Z) == g.monic()
+        assert [rows.shape[1] - 1 for _, _, rows in batches] == degrees
+        assert batches[0][0].tolist() == q[1:6]
+    # a first batch whose primes all divide lead(A) keeps no lane and adds none
+    del batches[:]
+    assert gcd_poly(math.prod(q[:6]) * g * (Z + 2), g) == g.monic()
+    assert [len(kept) for kept, _, _ in batches] == [0, 6]
+
+
+def test_rejections_at_ladder_scale_take_the_lanes(ladder_chain):
+    # the i=4 pair with a double root, a shared cubic and a square: each
+    # nontrivial gcd is read from the lanes and proved by exact division
+    # (about 16 s by a pseudo-remainder sequence over Z)
+    p, q = ladder_chain[4]
+    g = Z ** 3 + F(5, 7) * Z + 1
+    start = time.perf_counter()
+    double = p * (Z - F(1, 3)) ** 2
+    assert not is_squarefree(double)
+    with pytest.raises(NotSquarefree):
+        certify_rational_integrals(double, q, 2)
+    assert gcd_poly(p * g, q * g) == g.monic()
+    assert squarefree_factorization(p ** 2 * q) == [(q.monic(), 1), (p.monic(), 2)]
+    assert time.perf_counter() - start < 1.5
 
 def test_lane_primes_are_the_primes_below_2_31():
     # the table against a Miller-Rabin test with bases 2, 7 and 61, which is
@@ -332,7 +430,7 @@ def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeyp
         del batches[:]
         assert invert_mod(a, m) == inverse
         assert batches[0][0][0] == q[0] and len(batches) == count
-        assert not bad & {int(p) for _, (kept, _) in batches for p in kept}
+        assert not bad & {int(p) for _, (kept, _, _) in batches for p in kept}
 
 
 def test_invert_mod_diagnoses_a_shared_factor_at_ladder_scale(ladder_chain, monkeypatch):
@@ -349,8 +447,8 @@ def test_invert_mod_diagnoses_a_shared_factor_at_ladder_scale(ladder_chain, monk
     m, a = (q * g)._num, ((p * g) % (q * g))._num
     hadamard = ((len(a) - 1) * sum(c * c for c in m).bit_length()
                 + (len(m) - 1) * sum(c * c for c in a).bit_length()) // 2 + 1
-    assert all(rows is None for _, rows in batches)
-    assert math.prod(int(x) for kept, _ in batches for x in kept) > 2 ** (hadamard + 1)
+    assert all(shared for _, shared, _ in batches)
+    assert math.prod(int(x) for kept, _, _ in batches for x in kept) > 2 ** (hadamard + 1)
 
 
 def sylvester(a, b):
