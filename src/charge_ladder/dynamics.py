@@ -17,8 +17,8 @@ antisymmetry), and with it the charge-weighted quantity
 is exactly conserved along the flow.
 
 Every pairwise term comes from one real pair kernel (`numerics._pair_kernel`):
-inv = 1/|z_i - z_j|**2 and the coordinate differences times inv give
-1/(z_i - z_j) without complex arithmetic.  `integrate` evolves the real state
+inv = 1/|z_i - z_j|**2 and d = (Re, Im) of 1/(z_i - z_j), by one exact rank-2
+product and no complex arithmetic.  `integrate` evolves the real state
 (x_1..x_N, y_1..y_N), builds the kernel once per Runge-Kutta stage and takes
 H and the collision test of an accepted step from its last stage's kernel.
 A trajectory keeps each accepted step as a `TrajectorySample`: two complex128
@@ -196,7 +196,8 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
         for s, row in enumerate(_DP_A, 1):
             y_new = y + h * (row @ ks[:s])
-            ks[s], d_new, inv_new = _pair_kernel(y_new.reshape(2, n), qs)
+            del d, inv  # before the next kernel, whose arrays then reuse their memory while cached
+            ks[s], d, inv = _pair_kernel(y_new.reshape(2, n), qs)
         err_vec = h * (_DP_ERR @ ks)
         err_abs = np.hypot(err_vec[:n], err_vec[n:])
         radius_new = np.hypot(y_new[:n], y_new[n:])
@@ -208,7 +209,7 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
         err = math.sqrt(ratio @ ratio / n) if n else 0.0
         if err <= 1.0:
             t += h
-            y, radius, d, inv = y_new, radius_new, d_new, inv_new
+            y, radius = y_new, radius_new
             ks[0] = ks[-1]
             record(t, y, d, inv, ks[0])
             traj.steps_accepted += 1
@@ -230,11 +231,11 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
 def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
     """H from the pair kernel (d, inv) and the complex velocities v.  Half
     the pair sum is sum_ij Q_i**2 Q_j w_ij**2, as w_ij**2 is symmetric; with
-    w = a - ib for (a, b) = d, and a**2 + b**2 = inv, w**2 = 2a**2 - inv - 2iab."""
+    w = a + ib for (a, b) = d, and a**2 + b**2 = inv, w**2 = 2a**2 - inv + 2iab."""
     n = len(qs)
     q2 = qs * qs
     aa, ab = ((d[0] * d).reshape(2 * n, n) @ qs).reshape(2, n) @ q2
-    return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), -2 * ab)
+    return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), 2 * ab)
 
 
 def conserved_quantity(system: ChargeSystem) -> complex:
@@ -253,7 +254,7 @@ def acceleration_residual(system: ChargeSystem) -> float:
     """
     xy, qs, *_ = _admit(system)
     v, d, _ = _pair_kernel(xy, qs)
-    w, v = d[0] - 1j * d[1], _complex(v)
+    w, v = d[0] + 1j * d[1], _complex(v)
     try:
         with np.errstate(over="raise"):
             # Q_j w_ij**2 ((v_i - v_j) - (Q_i + Q_j) w_ij): chain rule minus closed law

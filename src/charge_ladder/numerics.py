@@ -4,9 +4,9 @@ that root configurations balance as Coulomb charges.
 Roots are seeded from companion-matrix eigenvalues and polished by
 simultaneous Aberth-Ehrlich iteration in extended precision; forces use the
 complex convention F_i = Q_i (k + sum_{j != i} Q_j / (z_i - z_j)), whose zero
-set coincides with critical points of the logarithmic energy.  One admission
-check (`_admit`) decides which charge systems the float layer takes; `force`,
-`ChargeSystem.from_pair` and the entry points of `dynamics` all run it.
+set coincides with critical points of the logarithmic energy.  Pair sums come
+from `_pair_kernel`: d = (Re, Im) of 1/(z_i - z_j) by one exact rank-2 product.
+One admission check (`_admit`) serves `force`, `from_pair` and `dynamics`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_FORCE_TOL = 1e-8
 COLLISION_FACTOR = 1e-10
+_AUG = np.array([[[1.0], [0.0], [-1.0]], [[-1.0], [0.0], [1.0]]])  # `_pair_kernel`'s sign rows
 
 
 class CollisionError(ValueError):
@@ -149,27 +150,28 @@ def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 def _pair_kernel(xy: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(velocities, d, inv) of the points z = x + iy, given as the contiguous
-    (2, N) array (x, y), and the charges qs, in real arithmetic: inv =
-    1/|z_i - z_j|**2 and d = (x_i - x_j, y_i - y_j) * inv, zero on the
-    diagonal, so 1/(z_i - z_j) = d[0] - 1j*d[1] and the velocities (real
-    parts, then imaginary parts) are one matrix-vector product.  The caller
-    has admitted the points (`_admit`)."""
+    (2, N) array (x, y), and the charges qs: inv = 1/|z_i - z_j|**2 and d =
+    (x_i - x_j, y_j - y_i) * inv = (Re, Im) of 1/(z_i - z_j), 0 on the diagonal,
+    so the velocities are d @ qs.  One rank-2 product of the rows (1, x, -1) and
+    (-1, y, 1) gives the differences, each rounded once as its two products are
+    exact.  The caller has admitted the points (`_admit`)."""
     n = xy.shape[1]
-    d = xy[:, :, None] - xy[:, None, :]
+    aug = _AUG.repeat(n, axis=2)
+    aug[:, 1] = xy
+    d = aug[:, 1:].transpose(0, 2, 1) @ aug[:, :2]
     inv = np.square(d[0])
     inv += np.square(d[1])
     inv.reshape(-1)[:: n + 1] = np.inf  # whose reciprocal is 0
     np.reciprocal(inv, out=inv)
     d *= inv
-    v = d.reshape(2 * n, n) @ qs
-    v[n:] *= -1
-    return v, d, inv
+    return d.reshape(2 * n, n) @ qs, d, inv
 
 
 def _complex(a: np.ndarray) -> np.ndarray:
-    """The complex numbers whose real parts, then imaginary parts, make a."""
-    a = a.reshape(2, -1)
-    return a[0] + 1j * a[1]
+    """The complex numbers whose real parts, then imaginary parts, make a, signed zeros kept."""
+    z = np.empty(a.size // 2, complex)
+    z.real, z.imag = a.reshape(2, -1)
+    return z
 
 
 def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:

@@ -268,7 +268,8 @@ def test_simulate_ok_with_drift_summary(tmp_path, capsys):
 
 def test_simulate_records_equal_every_library_sample(tmp_path, capsys):
     # bit for bit, signed zeros included (repr tells them apart): a charge
-    # starts at the origin as -0.0 - 0.0j, and every imaginary part is zero
+    # starts at the origin as -0.0 - 0.0j, which the records keep, and every
+    # imaginary part is zero
     system = ChargeSystem([-1, complex(-0.0, -0.0), 1.5], [1.0, 1.0, 1.0])
     init = tmp_path / "init.json"
     init.write_text(json.dumps(system.to_json()))
@@ -283,7 +284,7 @@ def test_simulate_records_equal_every_library_sample(tmp_path, capsys):
               for s in integrate(system, 1.0).samples]
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert len(records) > 2 and repr(records) == repr(expect)
-    assert repr(expect[0]["positions"][1]) == "[-0.0, 0.0]"
+    assert repr(expect[0]["positions"][1]) == "[-0.0, -0.0]"
 
 
 def test_simulate_short_horizon(tmp_path, capsys):

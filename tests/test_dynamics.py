@@ -203,6 +203,20 @@ def test_integrate_single_charge_stays_put():
     assert traj.final.system.positions == [1j]
 
 
+@pytest.mark.parametrize("positions, charges", [([], []), ([0.5 - 2j], [-2.0])])
+def test_entry_points_at_zero_and_one_charge(positions, charges):
+    # the kernel's (2, N, 2) @ (2, 2, N) product at empty and single-charge shapes
+    system = ChargeSystem(positions, charges)
+    assert vortex_rhs(system) == [0j] * len(positions)
+    assert conserved_quantity(system) == 0j
+    assert acceleration_residual(system) == 0.0
+    traj = integrate(system, 1.0)
+    assert traj.final.t == 1.0 and traj.steps_rejected == 0
+    for sample in traj.samples:
+        assert sample.system.positions == [complex(z) for z in positions]
+        assert sample.velocities == [0j] * len(positions) and sample.invariant == 0j
+
+
 def test_integrate_step_size_underflow():
     # pure absolute control far below double resolution of |z| ~ 1: every
     # step is rejected until the step falls under its floor, with no pair

@@ -154,6 +154,49 @@ def test_zero_total_force_fieldless():
         assert abs(total) < 1e-12 * max(1.0, n)
 
 
+def broadcast_pair_kernel(xy, qs):
+    """Reference pair kernel: differences by broadcasting, d = (x_i - x_j,
+    y_i - y_j) * inv, and the imaginary parts of the velocities negated."""
+    n = xy.shape[1]
+    d = xy[:, :, None] - xy[:, None, :]
+    inv = np.square(d[0])
+    inv += np.square(d[1])
+    inv.reshape(-1)[:: n + 1] = np.inf
+    np.reciprocal(inv, out=inv)
+    d *= inv
+    v = d.reshape(2 * n, n) @ qs
+    v[n:] *= -1
+    return v, d, inv
+
+
+def pair_kernel_inputs():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17, 300):
+        base = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for zs in (base, base + 1e4, base + (-3e7 + 2e5j), base * 2.0 ** -20, base * 2.0 ** 30):
+            yield zs, rng.choice([1.0, 1.0, -2.0], size=n)
+    yield np.array([1, 1 + (0.6 + 0.8j) * 1e-9, -1]), np.array([1.0, 1.0, -2.0])
+
+
+def test_pair_kernel_matches_broadcast_differences():
+    # the rank-2 product rounds each difference once, as a subtraction does, so
+    # inv and the velocities are bit-identical to the broadcasting kernel's
+    eps = np.finfo(float).eps
+    for zs, charges in pair_kernel_inputs():
+        xy, qs, *_ = numerics._admit(ChargeSystem(list(zs), list(charges)))
+        v, d, inv = numerics._pair_kernel(xy, qs)
+        v_ref, d_ref, inv_ref = broadcast_pair_kernel(xy, qs)
+        assert np.array_equal(inv, inv_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(d[0], d_ref[0]) and np.array_equal(d[1], -d_ref[1])
+        z = xy[0] + 1j * xy[1]
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1)
+        w = 1 / diff
+        np.fill_diagonal(w, 0)
+        np.testing.assert_allclose(d[0], w.real, rtol=4 * eps, atol=0)
+        np.testing.assert_allclose(d[1], w.imag, rtol=4 * eps, atol=0)
+
+
 def test_collision_error():
     with pytest.raises(CollisionError):
         force(ChargeSystem([1 + 0j, 1 + 0j, -1 + 0j], [1, 1, -2]))
