@@ -15,8 +15,6 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     4  collision detected during simulation
     5  integrator step-size underflow
     6  internal invariant violated (a bug, not a verdict on the input)
-
-CHARGE_LADDER_TOL overrides the default force tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -88,16 +85,6 @@ def _load_poly(path: str) -> ExactPoly:
         raise UsageError(f"cannot read polynomial from {path}: {exc}") from exc
 
 
-def _default_tol() -> float:
-    env = os.environ.get("CHARGE_LADDER_TOL")
-    if env is None:
-        return DEFAULT_FORCE_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise UsageError(f"CHARGE_LADDER_TOL is not a number: {env!r}")
-
-
 def _emit(obj: dict) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -154,8 +141,7 @@ def cmd_certify(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     p, q = _load_poly(args.p), _load_poly(args.q)
-    tol = args.tol if args.tol is not None else _default_tol()
-    report = verify_equilibrium(p, q, _parse_fraction(args.lam), _parse_fraction(args.k), tol)
+    report = verify_equilibrium(p, q, _parse_fraction(args.lam), _parse_fraction(args.k), args.tol)
     if args.format == "csv-positions":
         for z, qv in zip(report.system.positions, report.system.charges):
             sys.stdout.write(f"{z.real!r},{z.imag!r},{qv!r}\n")
@@ -209,14 +195,14 @@ def cmd_simulate(args) -> int:
             "invariant_drift_abs": h_abs,
             "invariant_drift_rel": h_rel,
             "t_final": traj.samples[-1].t if traj.samples else 0.0,
-            "tolerances": {"rel": args.rel_tol, "abs": args.abs_tol},
+            "tolerances": {"rel": args.rel_tol},
         }
         if collision:
             summary["collision"] = collision
         _emit(summary)
 
     try:
-        traj = integrate(system, args.t_end, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+        traj = integrate(system, args.t_end, rel_tol=args.rel_tol)
     except CollisionDetected as exc:
         dump(exc.trajectory, "collision",
              {"time": exc.time, "pair": list(exc.pair)})
@@ -259,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("q")
     e.add_argument("--lam", default="2")
     e.add_argument("--k", default="0")
-    e.add_argument("--tol", type=float, default=None)
+    e.add_argument("--tol", type=float, default=DEFAULT_FORCE_TOL)
     e.add_argument("--format", choices=["json", "csv-positions"], default="json")
     e.set_defaults(func=cmd_equilibrium)
 
@@ -276,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--lam", default="2")
     m.add_argument("--t-end", type=float, default=1.0)
     m.add_argument("--rel-tol", type=float, default=1e-10)
-    m.add_argument("--abs-tol", type=float, default=1e-12)
     m.add_argument("--out", help="JSONL trajectory path ('-' for stdout)")
     m.set_defaults(func=cmd_simulate)
 

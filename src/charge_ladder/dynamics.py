@@ -19,8 +19,8 @@ is exactly conserved along the flow.
 Every pairwise term comes from one real pair kernel (`numerics._pair_kernel`):
 inv = 1/|z_i - z_j|**2 and d = (Re, Im) of 1/(z_i - z_j), by one exact rank-2
 product and no complex arithmetic.  `integrate` evolves the real state
-(x_1..x_N, y_1..y_N), builds the kernel once per Runge-Kutta stage and takes
-H and the collision test of an accepted step from its last stage's kernel.
+(x_1..x_N, y_1..y_N), one kernel per Runge-Kutta stage; each accepted step
+takes H, nearest-neighbour distances and collisions from its last kernel.
 A trajectory keeps each accepted step as a `TrajectorySample`: two complex128
 arrays (positions, velocities), not a ChargeSystem and Python lists.
 Every entry point takes its system through the admission check of `numerics`.
@@ -143,30 +143,28 @@ _DP_ERR = np.array(
     (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
-def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
-              abs_tol: float = 1e-12) -> Trajectory:
+def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the root flow to t_end.
 
-    Per-component error control with a PI step controller.  Each stage builds
-    one pair kernel; stage sums and the error estimate are one product each
-    with the (7, 2N) real stage velocities.  The last stage sits at the step's
-    end point, so an accepted step records H and tests for a collision from
-    its kernel.  Raises CollisionDetected (with time, pair and the partial
-    trajectory) when two charges meet, StepSizeUnderflow when the controller
-    collapses without a nearby pair to blame, and ValueError on a system the
-    admission check refuses (not finite, or squared pair distances outside
-    float64's normal range), on a t_end that is not positive and finite or
-    on tolerances that are not finite, negative or both zero.
+    Charge i's error counts against rel_tol * l_i, l_i its nearest-neighbour
+    distance, under PI step control from a first step 0.01 * min_i l_i/|v_i|
+    or t_end, so runs commute with translation, rotation and, bit for bit,
+    z -> 2**k z, t -> 4**k t.  Each stage builds one pair kernel; the last
+    sits at the step's end, so an accepted step takes H, l and the closest
+    pair from it (l stays fixed while a step is retried).  Raises
+    CollisionDetected (with time, pair and the partial trajectory) when two
+    charges meet, StepSizeUnderflow when the controller collapses without a
+    nearby pair to blame, and ValueError on a system the admission check
+    refuses (not finite, or squared pair distances outside float64's normal
+    range) and on a t_end or rel_tol that is not positive and finite.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
-    if not (rel_tol >= 0 and abs_tol >= 0 and rel_tol + abs_tol > 0):
-        raise ValueError("tolerances must be non-negative and not both zero")
-    if math.inf in (rel_tol, abs_tol):
-        raise ValueError("tolerances must be finite")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be positive and finite")
     traj = Trajectory()
     try:
-        xy, qs, dist, pair, diam = _admit(system)
+        xy, qs, diam = _admit(system)
     except CollisionError as exc:
         raise CollisionDetected(0.0, exc.pair, traj) from exc
 
@@ -178,19 +176,21 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
             t, _complex(y), v, _invariant(d, inv, qs, v), charges, system.field))
 
     t, n = 0.0, xy.shape[1]
-    y, radius = xy.reshape(-1), np.abs(_complex(xy))  # the real state (x, y)
+    y = xy.reshape(-1)  # the real state (x, y)
     ks = np.empty((7, 2 * n))  # stage velocities; row 0 is the last accepted step's
     ks[0], d, inv = _pair_kernel(y.reshape(2, n), qs)
     record(t, y, d, inv, ks[0])
-    vmag = float(np.hypot(ks[0, :n], ks[0, n:]).max(initial=0.0))
-    h0 = h = min(t_end, 0.01 * (1.0 + float(radius.max(initial=0.0))) / (1.0 + vmag))
+    ell, dist, pair = _neighbours(inv)
+    rate = float((np.hypot(ks[0, :n], ks[0, n:]) / ell).max(initial=0.0))  # max |v_i|/l_i
+    h0 = h = min(t_end, 0.01 / rate) if rate else t_end
     err_prev = 1.0
     safety, alpha, beta = 0.9, 0.17, 0.04
     while t < t_end:
-        h = min(h, t_end - t)
-        # the floor scales with the time reached, or the first step, not with
-        # an absolute unit: the flow is invariant under z -> s*z, t -> s**2*t
-        if h < 1e-14 * max(t, h0):
+        t_new = min(t + h, t_end)  # the last step ends on t_end exactly
+        h = t_new - t
+        # the floor scales with the time reached, or the first step (<=: also
+        # when it is 0), as the flow is invariant under z -> s*z, t -> s**2*t
+        if h <= 1e-14 * max(t, h0):
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
             raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
@@ -200,23 +200,19 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
             ks[s], d, inv = _pair_kernel(y_new.reshape(2, n), qs)
         err_vec = h * (_DP_ERR @ ks)
         err_abs = np.hypot(err_vec[:n], err_vec[n:])
-        radius_new = np.hypot(y_new[:n], y_new[n:])
-        sc = abs_tol + rel_tol * np.maximum(radius, radius_new)
+        sc = rel_tol * ell
         # no error counts 0, also over sc = 0; an error of 1e150 sc or more
         # counts 1e150 (rejected), so no ratio leaves float64 or squares past it
         ratio = np.divide(err_abs, sc, out=np.where(err_abs > 0, 1e150, 0.0),
                           where=err_abs * 1e-150 < sc)
         err = math.sqrt(ratio @ ratio / n) if n else 0.0
         if err <= 1.0:
-            t += h
-            y, radius = y_new, radius_new
+            t, y = t_new, y_new
             ks[0] = ks[-1]
             record(t, y, d, inv, ks[0])
             traj.steps_accepted += 1
             traj.max_error_estimate = max(traj.max_error_estimate, err)
-            if n > 1:  # the largest entry of inv is the closest pair
-                k = int(inv.argmax())
-                dist, pair = float(inv.flat[k]) ** -0.5, divmod(k, n)
+            ell, dist, pair = _neighbours(inv)
             if dist <= COLLISION_FACTOR * diam:
                 raise CollisionDetected(t, pair, traj)
             fac = safety * max(err, 1e-10) ** -alpha * err_prev ** beta
@@ -226,6 +222,16 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10,
             traj.steps_rejected += 1
             h *= max(0.2, safety * err ** -0.2)
     return traj
+
+
+def _neighbours(inv: np.ndarray) -> tuple[np.ndarray, float, tuple[int, int] | None]:
+    """Nearest-neighbour distances l_i = (max_j inv_ij)**-1/2 from the kernel's
+    inv, the least and its pair; inf and None for fewer than two points."""
+    if len(inv) < 2:
+        return np.full(len(inv), np.inf), np.inf, None
+    m = inv.max(axis=1)
+    ell, i = 1 / np.sqrt(m), int(m.argmax())  # sqrt and / round alike at any power-of-2 scale
+    return ell, float(ell[i]), (i, int(inv[i].argmax()))
 
 
 def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
@@ -277,7 +283,7 @@ def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
     system = ChargeSystem(system.positions, [-2.0 * c for c in system.charges])
     p, q = p.monic(), q.monic()
     n, m = int(p.degree), int(q.degree)
-    traj = integrate(system, dt, rel_tol=1e-12, abs_tol=1e-14)
+    traj = integrate(system, dt, rel_tol=1e-12)
     moved = traj.final.system.positions
     p0 = np.asarray(to_floats(p))
     q0 = np.asarray(to_floats(q))

@@ -90,12 +90,18 @@ class ChargeSystem:
         if not (isinstance(obj, Mapping) and isinstance(obj.get("positions"), (list, tuple))
                 and isinstance(obj.get("charges"), (list, tuple))):
             raise ValueError("a charge system is an object with 'positions' and 'charges' arrays")
+        def real(x):  # a JSON true or false is an int to Python, but not a number here
+            if isinstance(x, bool):
+                raise TypeError(f"{x} is not a number")
+            return x
+
         fld = obj.get("field", 0.0)
         try:
             if isinstance(fld, (list, tuple)):
                 re, im = fld
-                fld = complex(re, im)
-            system = cls([complex(re, im) for re, im in obj["positions"]], obj["charges"], fld)
+                fld = complex(real(re), real(im))
+            system = cls([complex(real(re), real(im)) for re, im in obj["positions"]],
+                         [real(q) for q in obj["charges"]], real(fld))
         except (TypeError, OverflowError) as exc:  # null, an array, a string, an int past float64
             raise ValueError(f"not a charge system: {exc}") from exc
         _require_finite(system)
@@ -192,11 +198,12 @@ def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
 _SQUARED_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / 2))
 
 
-def _admit(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray, float, tuple[int, int] | None, float]:
+def _admit(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray, float]:
     """The (2, N) real and imaginary parts of the positions, the charges and
-    their `closest_pair`.  ValueError on a non-finite entry, CollisionError on
-    a pair within COLLISION_FACTOR times the diameter, and ValueError on a
-    squared distance outside float64's normal range (`_pair_kernel` needs it)."""
+    their diameter.  ValueError on a non-finite entry, CollisionError on a
+    pair within COLLISION_FACTOR times the diameter (`closest_pair`), and
+    ValueError on a squared distance outside float64's normal range
+    (`_pair_kernel` needs it)."""
     _require_finite(system)
     zs = np.asarray(system.positions, dtype=complex)
     dist, pair, diameter = closest_pair(zs)
@@ -205,7 +212,7 @@ def _admit(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray, float, tuple[i
     if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
         raise ValueError("squared pair distances leave float64's normal range "
                          f"(distances {dist:.3e} to {diameter:.3e})")
-    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float), dist, pair, diameter
+    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float), diameter
 
 
 def roots(p: ExactPoly) -> list[complex]:

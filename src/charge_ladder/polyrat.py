@@ -185,8 +185,8 @@ class ExactPoly:
             return self == ExactPoly.constant(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
+    def __hash__(self) -> int:  # a constant equals its value (__eq__), so it hashes as it
+        return hash(self.coeff(0) if len(self._num) <= 1 else (self._num, self._den))
 
     # -- pretty printing -----------------------------------------------------
 
@@ -342,7 +342,8 @@ class ExactPoly:
     @classmethod
     def from_json(cls, obj: Mapping) -> "ExactPoly":
         coeffs = obj.get("coeffs") if isinstance(obj, Mapping) else None
-        if not (isinstance(coeffs, (list, tuple)) and all(isinstance(c, (str, int, Fraction))
+        # exact types: a JSON true or false is an int to Python, not a coefficient
+        if not (isinstance(coeffs, (list, tuple)) and all(type(c) in (str, int, Fraction)
                 or isinstance(c, float) and math.isfinite(c) for c in coeffs)):
             raise ValueError("polynomial JSON must be an object with a 'coeffs' array of rationals")
         for c in coeffs:  # a float is taken only where its binary value is the decimal it reads

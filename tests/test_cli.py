@@ -170,14 +170,8 @@ def test_equilibrium_negative_exits_1(tmp_path, capsys):
     q = write_poly(tmp_path, "q.json", Z)
     code, out, _ = run(capsys, "equilibrium", p, q, "--lam", "1")
     assert code == 1
-
-
-def test_equilibrium_env_tolerance(tmp_path, capsys, monkeypatch):
-    # an absurdly loose tolerance flips the non-equilibrium verdict
-    monkeypatch.setenv("CHARGE_LADDER_TOL", "10.0")
-    p = write_poly(tmp_path, "p.json", Z ** 2 - 1)
-    q = write_poly(tmp_path, "q.json", Z)
-    code, out, _ = run(capsys, "equilibrium", p, q, "--lam", "1")
+    # an absurdly loose tolerance flips the verdict
+    code, out, _ = run(capsys, "equilibrium", p, q, "--lam", "1", "--tol", "10.0")
     assert code == 0
     assert json.loads(out)["tolerances"]["force"] == 10.0
 
@@ -260,7 +254,7 @@ def test_simulate_ok_with_drift_summary(tmp_path, capsys):
                        "--out", str(out_path))
     assert code == 0
     summary = json.loads(out)
-    assert summary["status"] == "ok"
+    assert summary["status"] == "ok" and summary["tolerances"] == {"rel": 1e-10}
     assert summary["invariant_drift_rel"] < 1e-8
     record = json.loads(out_path.read_text().splitlines()[0])
     assert set(record) == {"t", "positions", "velocities", "H"}
@@ -320,8 +314,8 @@ def test_simulate_from_pair_validates_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--t-end", "nan"], ["--t-end", "inf"], ["--t-end", "0"],
-    ["--rel-tol", "nan"], ["--abs-tol=-1e-12"], ["--rel-tol", "0", "--abs-tol", "0"],
-    ["--rel-tol", "inf"], ["--abs-tol", "inf"],
+    ["--rel-tol", "nan"], ["--abs-tol", "1e-12"], ["--rel-tol", "0"],  # --abs-tol: no such flag
+    ["--rel-tol", "inf"], ["--rel-tol=-1e-10"],
 ])
 def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, capsys, flags):
     init = tmp_path / "init.json"
@@ -336,8 +330,7 @@ def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, 
 def test_simulate_step_underflow_exit_5(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"positions": [[1, 0], [-1, 0], [0, 1]], "charges": [1, 1, -2]}))
-    code, out, _ = run(capsys, "simulate", "--init", str(init), "--rel-tol", "0",
-                       "--abs-tol", "1e-100")
+    code, out, _ = run(capsys, "simulate", "--init", str(init), "--rel-tol", "1e-100")
     assert code == 5
     assert json.loads(out)["status"] == "step-underflow"
 
@@ -368,11 +361,14 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("argv, env, message", [
+# in_json, where given, is the text of in.json for that case alone
+@pytest.mark.parametrize("argv, in_json, message", [
     (["generate", "lambda2", "1", "--t1"], None, "flag --t1 needs a value"),
     (["generate", "adler-moser", "-1"], None, "Adler-Moser index must be >= 0"),
     (["simulate", "--init", "missing.json"], None, "cannot read initial condition"),
-    (["equilibrium", "p.json", "q.json"], "1e-8x", "CHARGE_LADDER_TOL is not a number"),
+    # JSON true and false are ints to Python, but neither a coefficient nor a number
+    (["certify", "in.json", "q.json"], '{"coeffs": [true, false, 1]}',
+     "cannot read polynomial from in.json: polynomial JSON"),
     *((["certify", name, "q.json"], None, f"cannot read polynomial from {name}: polynomial JSON")
       for name in ("coeffs-int.json", "coeffs-null.json", "coeffs-array.json",
                    "coeffs-string.json", "coeffs-inf.json")),
@@ -387,8 +383,10 @@ MALFORMED = {
     (["simulate", "--init", "init.json", "--q", "q.json"], None, "simulate takes either --init"),
     *((["equilibrium", "p.json", "q.json", "--tol", tol], None, "tol must be positive and finite")
       for tol in ("nan", "inf", "0", "-1")),
-    (["equilibrium", "p.json", "q.json"], "nan", "tol must be positive and finite"),
-    (["equilibrium", "p.json", "q.json"], "inf", "tol must be positive and finite"),
+    (["simulate", "--init", "in.json"], '{"positions": [[true, 0], [-1, 0]], "charges": [1, 1]}',
+     "cannot read initial condition from in.json: not a charge system: True is not a number"),
+    (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], '
+     '"field": false}', "cannot read initial condition from in.json: not a charge system: False"),
     *((["simulate", "--init", name], None, "squared pair distances leave float64's normal range")
       for name in ("positions-far.json", "positions-near.json")),
     # a charge ratio or field past float64 is refused, not a verdict (exit 1)
@@ -399,14 +397,14 @@ MALFORMED = {
     (["certify", "coeffs-float.json", "q.json"], None,
      "cannot read polynomial from coeffs-float.json: polynomial JSON"),
 ])
-def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env, message):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, in_json, message):
     monkeypatch.chdir(tmp_path)
     write_poly(tmp_path, "p.json", Z ** 5 + 1)
     write_poly(tmp_path, "q.json", Z)
     for name, text in MALFORMED.items():
         (tmp_path / name).write_text(text)
-    if env is not None:
-        monkeypatch.setenv("CHARGE_LADDER_TOL", env)
+    if in_json is not None:
+        (tmp_path / "in.json").write_text(in_json)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")

@@ -189,9 +189,9 @@ def test_attracting_pair_collides_in_finite_time():
 def test_flow_consistency_restart():
     rng = random.Random(18)
     system = random_separated_config(rng, 5, 2.0)
-    direct = integrate(system, 0.8, rel_tol=1e-11, abs_tol=1e-13)
-    first = integrate(system, 0.3, rel_tol=1e-11, abs_tol=1e-13)
-    second = integrate(first.final.system, 0.5, rel_tol=1e-11, abs_tol=1e-13)
+    direct = integrate(system, 0.8, rel_tol=1e-11)
+    first = integrate(system, 0.3, rel_tol=1e-11)
+    second = integrate(first.final.system, 0.5, rel_tol=1e-11)
     gap = max(abs(a - b) for a, b in zip(direct.final.system.positions,
                                          second.final.system.positions))
     assert gap < 1e-9
@@ -218,42 +218,92 @@ def test_entry_points_at_zero_and_one_charge(positions, charges):
 
 
 def test_integrate_step_size_underflow():
-    # pure absolute control far below double resolution of |z| ~ 1: every
+    # tolerances far below double resolution of the distances ~ 1: every
     # step is rejected until the step falls under its floor, with no pair
     # close enough to blame.  Below about 1e-160 the error ratios square past
     # float64, and at a subnormal tolerance they divide past it; either must
     # reject the step without a RuntimeWarning.
     system = ChargeSystem([1, -1, 1j], [1.0, 1.0, -2.0])
-    for abs_tol in (1e-100, 1e-170, 1e-200, 1e-310):
+    for rel_tol in (1e-100, 1e-170, 1e-200, 1e-310):
         with pytest.raises(StepSizeUnderflow):
-            integrate(system, 1.0, rel_tol=0.0, abs_tol=abs_tol)
+            integrate(system, 1.0, rel_tol=rel_tol)
 
 
 def test_integrate_minimum_step_scales_with_the_flow():
     # the flow is invariant under z -> s*z, t -> s**2*t, so two unit charges
     # 1e-12 apart move as smoothly as two 1 apart, their gap g obeying
     # g**2 = g0**2 + 4t; the floor on the step scales with the time reached
-    # or the first step, so neither a short horizon nor a small gap underflows
+    # or the first step, so neither a short horizon nor a small gap underflows,
+    # and the error is measured against the gap, so every run is accurate
     traj = integrate(ChargeSystem([0, 1], [1.0, 1.0]), 1e-15)
     assert traj.final.t == 1e-15 and traj.steps_accepted == 1
-    for gap in (1e-12, 1e-9):
+    for gap in (1e-12, 1e-9, 1.0, 1e6):
         system = ChargeSystem([0, gap], [1.0, 1.0])
         traj = integrate(system, gap * gap)
-        assert traj.final.t == gap * gap and traj.steps_accepted == 1
-        # with the absolute tolerance scaled too, the short run is accurate
-        z = integrate(system, gap * gap, abs_tol=1e-12 * gap).final.system.positions
+        z = traj.final.system.positions
+        assert traj.final.t == gap * gap and traj.steps_accepted == 20
         assert abs(abs(z[1] - z[0]) / gap - np.sqrt(5.0)) < 1e-9
-        traj = integrate(system, 1.0)
+    for gap in (1e-12, 1e-9):
+        traj = integrate(ChargeSystem([0, gap], [1.0, 1.0]), 1.0)
         z = traj.final.system.positions
         assert traj.final.t == 1.0 and abs(abs(z[1] - z[0]) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("k", [-20, 10])
+def test_integrate_is_exact_under_power_of_two_scaling(k):
+    # z -> 2**k z, t -> 4**k t rounds nowhere, and nothing in the error
+    # control or the first step is measured in absolute units (30 steps
+    # accepted and 3 rejected here)
+    system = random_separated_config(random.Random(1), 10, 2.0)
+    scale = 2.0 ** k
+    base = integrate(system, 0.2)
+    scaled = integrate(ChargeSystem([z * scale for z in system.positions], system.charges),
+                       0.2 * scale * scale)
+    assert (scaled.steps_accepted, scaled.steps_rejected) == (base.steps_accepted,
+                                                              base.steps_rejected)
+    for a, b in zip(scaled.samples, base.samples, strict=True):
+        assert a.t == b.t * scale * scale
+        assert a.system.positions == [z * scale for z in b.system.positions]
+        assert a.velocities == [v / scale for v in b.velocities]
+        assert a.invariant == b.invariant / (scale * scale)
+
+
+@pytest.mark.parametrize("shift", [1e4, -1e4, 100 + 100j])
+def test_integrate_step_counts_ignore_a_shift(shift):
+    # the error is measured against each charge's nearest neighbour, not
+    # against its distance from the origin
+    system = random_separated_config(random.Random(1), 10, 2.0)
+    base = integrate(system, 0.2)
+    moved = integrate(ChargeSystem([z + shift for z in system.positions], system.charges), 0.2)
+    assert (moved.steps_accepted, moved.steps_rejected) == (base.steps_accepted,
+                                                            base.steps_rejected)
+    gap = max(abs(a - shift - b) for a, b in zip(moved.final.system.positions,
+                                                 base.final.system.positions))
+    assert gap < 1e-9
+
+
+@pytest.mark.parametrize("positions, charges, t_end", [
+    ([-1.2765259836054215 + 1.4712149381589836j, 0.5200718583223463 - 0.6219845987649189j],
+     [1.0, -2.0], 0.17857481873011713),
+    ([-0.7174327334088839 + 0.020594742815852385j, 0.975172673110781 + 0.9792452767811204j],
+     [1.0, 1.0], 0.11175336509670596),
+])
+def test_integrate_ends_on_t_end_exactly(positions, charges, t_end):
+    # t + (t_end - t) need not round to t_end when the last step is longer
+    # than the time already run: stepping so, the first system ended 2.8e-17
+    # past t_end, and the second fell 1 ulp short and took that ulp as a step
+    # under the floor (StepSizeUnderflow)
+    traj = integrate(ChargeSystem(positions, charges), t_end)
+    assert traj.final.t == t_end and traj.steps_accepted == 2
+
+
 def test_integrate_error_norm_without_scale():
-    # with abs_tol=0 a charge resting at the origin has error 0 over scale 0:
-    # that component counts as no error, not as 0/0
-    traj = integrate(ChargeSystem([-1, 0, 1], [1.0, 1.0, 1.0]), 1.0, rel_tol=1e-10, abs_tol=0.0)
-    assert traj.final.t == 1.0
-    assert all(sample.system.positions[1] == 0 for sample in traj.samples)
+    # where rel_tol * l_i underflows to 0 (here 5e-324 * 0.25), a charge at
+    # rest has error 0 over scale 0: that counts as no error, not as 0/0
+    system = ChargeSystem([-0.25, 0, 0.25, 0.25j], [0.0, 0.0, 0.0, 0.0])
+    traj = integrate(system, 1.0, rel_tol=5e-324)
+    assert traj.final.t == 1.0 and traj.steps_accepted == 1
+    assert traj.final.system.positions == system.positions
 
 
 def test_integrate_builds_one_pair_kernel_per_stage(monkeypatch):
@@ -271,22 +321,19 @@ def test_integrate_rejects_nonpositive_horizon():
         integrate(ChargeSystem([0j], [1.0]), 0.0)
 
 
-@pytest.mark.parametrize("t_end, rel_tol, abs_tol", [
-    (float("nan"), 1e-10, 1e-12),   # t_end <= 0 is False for NaN
-    (float("inf"), 1e-10, 1e-12),   # would make the minimum step infinite
-    (-float("inf"), 1e-10, 1e-12),
-    (1.0, float("nan"), 1e-12),
-    (1.0, 1e-10, float("nan")),
-    (1.0, float("inf"), 1e-12),     # would switch error control off
-    (1.0, 1e-10, float("inf")),
-    (1.0, -1e-10, 1e-12),
-    (1.0, 1e-10, -1e-12),
-    (1.0, 0.0, 0.0),
+@pytest.mark.parametrize("t_end, rel_tol", [
+    (float("nan"), 1e-10),   # t_end <= 0 is False for NaN
+    (float("inf"), 1e-10),   # would make the minimum step infinite
+    (-float("inf"), 1e-10),
+    (1.0, float("nan")),
+    (1.0, float("inf")),     # would switch error control off
+    (1.0, -1e-10),
+    (1.0, 0.0),
 ])
-def test_integrate_rejects_nonfinite_horizon_and_bad_tolerances(t_end, rel_tol, abs_tol):
+def test_integrate_rejects_nonfinite_horizon_and_bad_tolerances(t_end, rel_tol):
     system = ChargeSystem([1 + 0j, -1 + 0j], [1.0, 1.0])
     with pytest.raises(ValueError):
-        integrate(system, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+        integrate(system, t_end, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("system", [
@@ -388,11 +435,11 @@ def test_tolerances_control_error_and_drift_stays_floored():
     # position accuracy, and looser tolerances must not degrade the invariant.
     rng = random.Random(4)
     system = random_separated_config(rng, 6, 2.0)
-    reference = integrate(system, 1.0, rel_tol=1e-13, abs_tol=1e-15)
+    reference = integrate(system, 1.0, rel_tol=1e-13)
     position_errors = {}
     drifts = {}
-    for rel, abs_ in ((1e-4, 1e-6), (1e-10, 1e-12)):
-        traj = integrate(system, 1.0, rel_tol=rel, abs_tol=abs_)
+    for rel in (1e-4, 1e-10):
+        traj = integrate(system, 1.0, rel_tol=rel)
         position_errors[rel] = max(
             abs(a - b) for a, b in zip(traj.final.system.positions,
                                        reference.final.system.positions))

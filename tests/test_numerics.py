@@ -278,6 +278,18 @@ def test_charge_system_json():
             ChargeSystem.from_json(blob)
 
 
+def test_charge_system_json_rejects_booleans():
+    # JSON true and false are ints to Python; read as numbers, [[true, 0]]
+    # would be a charge at 1+0j
+    for blob in ({"positions": [[True, 0]], "charges": [1]},
+                 {"positions": [[1, False]], "charges": [1]},
+                 {"positions": [[1, 0]], "charges": [True]},
+                 {"positions": [[1, 0]], "charges": [1], "field": False},
+                 {"positions": [[1, 0]], "charges": [1], "field": [0, True]}):
+        with pytest.raises(ValueError, match="is not a number"):
+            ChargeSystem.from_json(blob)
+
+
 def test_report_echoes_tolerances_and_serializes():
     report = verify_equilibrium(Z ** 2 - 1, Z, 1, tol=1e-7)
     assert report.tolerances == {"force": 1e-7, "root": 1e-12, "collision": 1e-10}

@@ -144,6 +144,23 @@ def test_json_round_trip():
         ExactPoly.from_json({"coeffs": [0.1, 1]})
 
 
+def test_json_rejects_booleans():
+    # JSON true and false are ints to Python; read as coefficients, the first
+    # would be z**2 + 1
+    for coeffs in ([True, False, 1], [1, True], [False]):
+        with pytest.raises(ValueError):
+            ExactPoly.from_json({"coeffs": coeffs})
+
+
+def test_constant_hash_agrees_with_equality():
+    for value in (5, F(-7, 3), 0):
+        poly = ExactPoly.constant(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert {value: "found"}.get(poly) == "found"
+    assert hash(ExactPoly.zero()) == hash(0) and {0: 1}[ExactPoly.zero()] == 1
+    assert len({ExactPoly([1, 2]), ExactPoly([F(1), F(2)]), ExactPoly([1, 3])}) == 2
+
+
 # -- gcd ----------------------------------------------------------------------
 
 
