@@ -7,7 +7,7 @@ from charge_ladder import cli
 from charge_ladder.cli import main
 from charge_ladder.dynamics import integrate
 from charge_ladder.generators import BracketParams, bracket
-from charge_ladder.numerics import ChargeSystem, MultipleRootWarning
+from charge_ladder.numerics import DEFAULT_FORCE_TOL, ChargeSystem, MultipleRootWarning
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
 from conftest import FLOAT64_BEYOND_PAIRS
 
@@ -174,6 +174,16 @@ def test_equilibrium_negative_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, "equilibrium", p, q, "--lam", "1", "--tol", "10.0")
     assert code == 0
     assert json.loads(out)["tolerances"]["force"] == 10.0
+
+
+def test_equilibrium_env_tolerance(tmp_path, capsys, monkeypatch):
+    # the tolerance comes from --tol alone: CHARGE_LADDER_TOL no longer flips the verdict
+    monkeypatch.setenv("CHARGE_LADDER_TOL", "10.0")
+    p = write_poly(tmp_path, "p.json", Z ** 2 - 1)
+    q = write_poly(tmp_path, "q.json", Z)
+    code, out, _ = run(capsys, "equilibrium", p, q, "--lam", "1")
+    assert code == 1
+    assert json.loads(out)["tolerances"]["force"] == DEFAULT_FORCE_TOL
 
 
 def test_equilibrium_csv_positions(tmp_path, capsys):
