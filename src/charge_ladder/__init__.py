@@ -31,13 +31,13 @@ from .generators import (
     bracket,
     certify_rational_integrals,
     lambda2_ladder,
+    residue_divisibility,
 )
 from .numerics import (
     ChargeSystem,
     CollisionError,
     ConvergenceFailure,
     EquilibriumReport,
-    MultipleRootWarning,
     force,
     roots,
     verify_equilibrium,
@@ -54,7 +54,6 @@ from .polyrat import (
     gcd_poly,
     hermite_reduce,
     integrate_rational,
-    residue_divisibility,
     squarefree_factorization,
     wronskian,
 )

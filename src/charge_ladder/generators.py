@@ -1,7 +1,9 @@
 """Generation of the polynomial families whose roots balance Coulomb charges.
 
-Two constructions are provided for the charge-ratio-1 family (the Adler-Moser
-polynomials): a first-order three-term recurrence driven by log-free
+The bilinear bracket is stated once, as a linear operator on p
+(``_bracket_ops``); ``bracket``, the field solve and the residue criterion all
+read it.  Two constructions are provided for the charge-ratio-1 family (the
+Adler-Moser polynomials): a first-order three-term recurrence driven by log-free
 integration, and the Wronskian determinant of an iterated double-antiderivative
 chain.  The charge-ratio-2 families come as a doubly infinite ladder generated
 upward or downward by first-order recurrences.  Everything is exact; free
@@ -17,9 +19,13 @@ from typing import Mapping, Sequence
 from .polyrat import (
     ExactPoly,
     InvariantViolation,
+    NotCoprime,
+    NotSquarefree,
     RationalLike,
     as_fraction,
+    gcd_poly,
     hermite_reduce,
+    is_squarefree,
     polynomial_solution,
     require_squarefree_coprime,
     wronskian,
@@ -37,6 +43,7 @@ __all__ = [
     "certify_rational_integrals",
     "lambda2_ladder",
     "psi_chain",
+    "residue_divisibility",
 ]
 
 
@@ -63,18 +70,44 @@ class BracketParams:
         object.__setattr__(self, "field", as_fraction(field))
 
 
+def _bracket_ops(q: ExactPoly, params: BracketParams) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
+    """(c0, c1, c2) with bracket(p, q, params) = c0*p + c1*p' + c2*p'': c2 = q,
+    c1 = 2k*q - 2*lam*q' and c0 = lam^2*q'' - 2k*lam*q', the operator form
+    polynomial_solution takes."""
+    lam, k = params.lam, params.field
+    dq = q.derivative()
+    c0, c1 = lam * lam * q.derivative(2), -2 * lam * dq
+    if k:
+        c0, c1 = c0 - 2 * k * lam * dq, c1 + 2 * k * q
+    return c0, c1, q
+
+
 def bracket(p: ExactPoly, q: ExactPoly, params: BracketParams) -> ExactPoly:
     """The bilinear form  p''q - 2*lam*p'q' + lam^2*p*q'' + 2k*(p'q - lam*q'p).
 
     Vanishing identically is equivalent to the roots of p (charge +1) and of
     q (charge -lam) sitting in electrostatic equilibrium in the field k.
     """
-    lam, k = params.lam, params.field
-    dp, dq = p.derivative(), q.derivative()
-    result = p.derivative(2) * q - 2 * lam * dp * dq + lam * lam * p * q.derivative(2)
-    if k:
-        result = result + 2 * k * (dp * q - lam * dq * p)
-    return result
+    c0, c1, c2 = _bracket_ops(q, params)
+    return c0 * p + c1 * p.derivative() + c2 * p.derivative(2)
+
+
+def residue_divisibility(p: ExactPoly, q: ExactPoly, lam: RationalLike) -> bool:
+    """True iff p divides bracket(p, q, BracketParams(lam)) exactly, for lam
+    nonzero (else ValueError) and p nonzero and squarefree (else
+    NotSquarefree) and coprime to a nonzero q (else NotCoprime).
+
+    The term lam^2*p*q'' vanishes mod p, so this is p | p''q - 2*lam*p'q',
+    which for such p and q is equivalent to all residues of q**(2*lam)/p**2
+    at roots of p vanishing.  The mirrored test is
+    residue_divisibility(q, p, 1/lam).
+    """
+    params = BracketParams(lam)
+    if not is_squarefree(p):
+        raise NotSquarefree("p must be nonzero and squarefree")
+    if q.is_zero or gcd_poly(p, q).degree != 0:
+        raise NotCoprime("p and q must be coprime (and q nonzero)")
+    return (bracket(p, q, params) % p).is_zero
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ One admission check (`_admit`) serves `force`, `from_pair` and `dynamics`.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,6 @@ __all__ = [
     "CollisionError",
     "ConvergenceFailure",
     "EquilibriumReport",
-    "MultipleRootWarning",
     "DEFAULT_ROOT_TOL",
     "DEFAULT_FORCE_TOL",
     "COLLISION_FACTOR",
@@ -52,10 +50,6 @@ class CollisionError(ValueError):
 
 class ConvergenceFailure(RuntimeError):
     """Root polishing failed, or float64 cannot hold the polynomial or its roots."""
-
-
-class MultipleRootWarning(UserWarning):
-    """Near-coincident roots reported; inputs here should be squarefree."""
 
 
 @dataclass
@@ -90,9 +84,9 @@ class ChargeSystem:
         if not (isinstance(obj, Mapping) and isinstance(obj.get("positions"), (list, tuple))
                 and isinstance(obj.get("charges"), (list, tuple))):
             raise ValueError("a charge system is an object with 'positions' and 'charges' arrays")
-        def real(x):  # a JSON true or false is an int to Python, but not a number here
-            if isinstance(x, bool):
-                raise TypeError(f"{x} is not a number")
+        def real(x):  # JSON numbers only: not a string, and not true or false (ints to Python)
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise TypeError(f"{x!r} is not a number")
             return x
 
         fld = obj.get("field", 0.0)
@@ -100,8 +94,10 @@ class ChargeSystem:
             if isinstance(fld, (list, tuple)):
                 re, im = fld
                 fld = complex(real(re), real(im))
+            else:
+                fld = real(fld)
             system = cls([complex(real(re), real(im)) for re, im in obj["positions"]],
-                         [real(q) for q in obj["charges"]], real(fld))
+                         [real(q) for q in obj["charges"]], fld)
         except (TypeError, OverflowError) as exc:  # null, an array, a string, an int past float64
             raise ValueError(f"not a charge system: {exc}") from exc
         _require_finite(system)
@@ -222,9 +218,8 @@ def roots(p: ExactPoly) -> list[complex]:
     simultaneous iteration in extended precision polishes until every residual
     satisfies |p(r)| <= DEFAULT_ROOT_TOL * max|coeff| * max(1, |r|)**deg, and
     raises ConvergenceFailure when 120 iterations do not get there or float64
-    cannot hold the scaled lead coefficient or the roots.  Near-coincident
-    roots trigger MultipleRootWarning (generated families are squarefree, so
-    this flags an upstream problem rather than a legitimate outcome).
+    cannot hold the scaled lead coefficient or the roots.  Closeness of the
+    roots is not checked here: `_admit` does that for every charge system.
     """
     deg = p.degree
     if deg < 1:
@@ -261,13 +256,9 @@ def roots(p: ExactPoly) -> list[complex]:
                 denom = np.where(denom == 0, np.clongdouble(1e-300), denom)
                 step = newton / denom
                 zs = zs - step
-            out = zs.astype(complex)
+            return zs.astype(complex).tolist()
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise ConvergenceFailure(f"float64 cannot hold the roots: {exc}") from exc
-    spread = max(float(np.abs(out).max()), 1.0)
-    if closest_pair(out)[0] < 1e-7 * spread:
-        warnings.warn("near-coincident roots detected", MultipleRootWarning)
-    return [complex(z) for z in out]
 
 
 def force(system: ChargeSystem) -> list[complex]:

@@ -17,9 +17,7 @@ module provides the symbolic primitives everything else is built on:
   two-by-two Wronskians, each divided exactly by the previous pivot,
 * reduction of integrals of the form N/p**2 (``hermite_reduce``, whose
   modular inverse only writes out a log obstruction, plus the fully general
-  ``integrate_rational`` for arbitrary denominators),
-* the residue-divisibility criterion linking vanishing residues of
-  q**(2*lam)/p**2 to a polynomial divisibility test.
+  ``integrate_rational`` for arbitrary denominators).
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ __all__ = [
     "is_squarefree",
     "polynomial_solution",
     "require_squarefree_coprime",
-    "residue_divisibility",
     "squarefree_factorization",
     "wronskian",
 ]
@@ -967,24 +964,3 @@ def integrate_rational(num: ExactPoly, den: ExactPoly) -> RationalIntegral:
         d = ExactPoly.one()
     return RationalIntegral(poly_part.antiderivative(), rat_num, rat_den, a, d)
 
-
-# ---------------------------------------------------------------------------
-# Residue criterion
-# ---------------------------------------------------------------------------
-
-
-def residue_divisibility(p: ExactPoly, q: ExactPoly, lam: RationalLike) -> bool:
-    """True iff p divides p''q - 2*lam*p'q' exactly, for p nonzero and
-    squarefree (else NotSquarefree) and coprime to a nonzero q (else NotCoprime).
-
-    For such p and q this is equivalent to all residues of q**(2*lam)/p**2
-    at roots of p vanishing.  The mirrored test is
-    residue_divisibility(q, p, 1/lam).
-    """
-    lam = as_fraction(lam)
-    if not is_squarefree(p):
-        raise NotSquarefree("p must be nonzero and squarefree")
-    if q.is_zero or gcd_poly(p, q).degree != 0:
-        raise NotCoprime("p and q must be coprime (and q nonzero)")
-    combo = p.derivative(2) * q - 2 * lam * p.derivative() * q.derivative()
-    return (combo % p).is_zero

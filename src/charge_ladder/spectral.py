@@ -4,8 +4,9 @@ exact solve of the field equation.
 With a homogeneous field k the balance condition picks up the first-order term
 2k(p'q - lam*q'p).  For charge ratio 1 the solving pair comes from a Wronskian
 with an exponential column; for charge ratio 2 no closed construction is
-known, but for a given q the condition is a linear ODE in p whose polynomial
-solution is decided by back-substitution (``polyrat.polynomial_solution``).
+known, but for a given q the condition is the bracket's linear operator on p
+(``generators._bracket_ops``), whose polynomial solution is decided by
+back-substitution (``polyrat.polynomial_solution``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .generators import BracketParams, bracket, psi_chain
+from .generators import BracketParams, _bracket_ops, bracket, psi_chain
 from .polyrat import (
     ExactPoly,
     InvariantViolation,
@@ -132,9 +133,8 @@ class SolveReport:
 def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) -> SolveReport:
     """Solve the field balance equation for monic p of degree n = lam*deg(q).
 
-    The bracket with field is the linear operator
-    q*p'' + 2(k*q - lam*q')*p' + (lam^2*q'' - 2k*lam*q')*p on p, whose pivot
-    2k*(j - lam*deg q) on the coefficient p_j vanishes only at j = n.  With
+    The bracket with field is a linear operator on p (``_bracket_ops``), whose
+    pivot 2k*(j - lam*deg q) on the coefficient p_j vanishes only at j = n.  With
     p_n = 1 moved to the right-hand side, polynomial_solution fixes p_0..p_{n-1}
     by back-substitution, so the rank is always n; a failed consistency row is
     definitive: no monic p of degree n balances this (q, k).
@@ -151,10 +151,8 @@ def solve_p_given_q(q: ExactPoly, lam: RationalLike = 2, k: RationalLike = 1) ->
         raise ValueError(f"charge balance needs integral degree lam*deg(q), got {n_frac}")
     n = int(n_frac)
     params = BracketParams(lam, k)
-    dq = q.derivative()
-    ops = (lam * lam * q.derivative(2) - 2 * k * lam * dq, 2 * k * q - 2 * lam * dq, q)
     top = ExactPoly.monomial(n)
-    rest = polynomial_solution(ops, -bracket(top, q, params))
+    rest = polynomial_solution(_bracket_ops(q, params), -bracket(top, q, params))
     if rest is None:
         return SolveReport("incompatible", None, n, 0)
     p = top + rest

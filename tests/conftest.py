@@ -19,6 +19,12 @@ def nonzero_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fra
             return value
 
 
+def random_poly(rng: random.Random, degree: int, span: int = 6) -> ExactPoly:
+    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(degree)]
+    coeffs.append(Fraction(rng.randint(1, span)))
+    return ExactPoly(coeffs)
+
+
 def leibniz_det(matrix) -> ExactPoly:
     """Determinant of a square matrix of polynomials as the signed sum of its
     n! permutation products; a reference independent of any elimination."""

@@ -7,7 +7,7 @@ from charge_ladder import cli
 from charge_ladder.cli import main
 from charge_ladder.dynamics import integrate
 from charge_ladder.generators import BracketParams, bracket
-from charge_ladder.numerics import DEFAULT_FORCE_TOL, ChargeSystem, MultipleRootWarning
+from charge_ladder.numerics import DEFAULT_FORCE_TOL, ChargeSystem
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
 from conftest import FLOAT64_BEYOND_PAIRS
 
@@ -202,8 +202,7 @@ def test_equilibrium_coincident_float_roots_exit_3(tmp_path, capsys):
     p = write_poly(tmp_path, "p.json", (Z - 1) * (Z - 1 - F(1, 10 ** 12)))
     q = write_poly(tmp_path, "q.json", Z)
     for argv in (["equilibrium", p, q], ["simulate", "--p", p, "--q", q]):
-        with pytest.warns(MultipleRootWarning):
-            code, out, err = run(capsys, *argv, "--lam", "1")
+        code, out, err = run(capsys, *argv, "--lam", "1")
         assert code == 3
         assert out == ""
         assert err.startswith("error: charges 0 and 1 within")
@@ -397,6 +396,9 @@ MALFORMED = {
      "cannot read initial condition from in.json: not a charge system: True is not a number"),
     (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], '
      '"field": false}', "cannot read initial condition from in.json: not a charge system: False"),
+    (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": ["1", " 2e0 "], '
+     '"field": "1+2j"}',
+     "cannot read initial condition from in.json: not a charge system: '1+2j' is not a number"),
     *((["simulate", "--init", name], None, "squared pair distances leave float64's normal range")
       for name in ("positions-far.json", "positions-near.json")),
     # a charge ratio or field past float64 is refused, not a verdict (exit 1)

@@ -16,6 +16,7 @@ from charge_ladder.generators import (
     certify_rational_integrals,
     lambda2_ladder,
     psi_chain,
+    residue_divisibility,
 )
 from charge_ladder.polyrat import (
     ExactPoly,
@@ -28,7 +29,7 @@ from charge_ladder.polyrat import (
     is_squarefree,
 )
 from charge_ladder.spectral import ba_lambda1
-from conftest import nonzero_rational, random_ladder_state, rational
+from conftest import nonzero_rational, random_ladder_state, random_poly, rational
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
@@ -82,6 +83,78 @@ def test_bracket_field_pair():
 def test_bracket_rejects_zero_lambda():
     with pytest.raises(ValueError):
         BracketParams(0)
+
+
+def expanded_bracket(p, q, lam, k):
+    """The bracket term by term, as the paper writes it: the reference for the
+    operator form `bracket` applies."""
+    dp, dq = p.derivative(), q.derivative()
+    result = p.derivative(2) * q - 2 * lam * dp * dq + lam * lam * p * q.derivative(2)
+    return result + 2 * k * (dp * q - lam * dq * p)
+
+
+def test_bracket_operator_matches_expanded_form(ladder_chain):
+    rng = random.Random(25)
+    pairs = [(random_poly(rng, rng.randint(0, 11)), random_poly(rng, rng.randint(0, 11)))
+             for _ in range(40)]
+    pairs += [(ExactPoly.zero(), Z + 1), (Z ** 3 - 2, ExactPoly.zero()),
+              (ExactPoly.zero(), ExactPoly.zero()), (ExactPoly.constant(F(3, 2)), Z ** 2 - 1),
+              ladder_chain[3], ladder_chain[-3]]
+    for lam in (F(1, 2), F(1), F(2), F(3, 2)):
+        for k in (0, 1, F(-7, 3)):
+            for p, q in pairs:
+                assert bracket(p, q, BracketParams(lam, k)) == expanded_bracket(p, q, lam, k)
+
+
+# -- residue criterion ------------------------------------------------------------
+
+
+def test_residue_divisibility_examples():
+    assert residue_divisibility(Z ** 5 + 1, Z, 2)
+    # mirrored test of the pair (z, z^2+1) at lambda 2 swaps roles and inverts lambda
+    assert residue_divisibility(Z ** 2 + 1, Z, F(1, 2))
+    assert not residue_divisibility(Z ** 2 - 1, Z, 1)
+    # a nonzero constant p divides everything
+    assert residue_divisibility(ExactPoly.constant(3), Z + 1, 2)
+
+
+def test_residue_divisibility_preconditions():
+    for p in (Z ** 2, ExactPoly.zero()):
+        with pytest.raises(NotSquarefree, match="p must be nonzero and squarefree"):
+            residue_divisibility(p, Z + 1, 1)
+    with pytest.raises(NotCoprime):
+        residue_divisibility(Z ** 2 - 1, Z - 1, 1)
+    with pytest.raises(ValueError, match="lambda must be nonzero"):
+        residue_divisibility(Z ** 2 - 1, Z, 0)
+
+
+def both_sides_divisible(p, q, lam):
+    return residue_divisibility(p, q, lam) and residue_divisibility(q, p, 1 / F(lam))
+
+
+def test_residue_criterion_matches_bracket_on_random_pairs():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 30:
+        p = random_poly(rng, rng.randint(1, 6))
+        q = random_poly(rng, rng.randint(1, 4))
+        if not (is_squarefree(p) and is_squarefree(q)):
+            continue
+        if gcd_poly(p, q).degree != 0:
+            continue
+        for lam in (F(1, 2), F(1), F(2)):
+            assert both_sides_divisible(p, q, lam) == bracket(p, q, BracketParams(lam)).is_zero
+        checked += 1
+
+
+def test_residue_criterion_on_certified_pairs(ladder_chain, adler_moser_chain):
+    for i in range(-3, 4):
+        p, q = ladder_chain[i]
+        if q.degree < 1:
+            continue
+        assert both_sides_divisible(p, q, 2)
+    for n in range(1, 6):
+        assert both_sides_divisible(adler_moser_chain[n], adler_moser_chain[n + 1], 1)
 
 
 # -- Adler-Moser ----------------------------------------------------------------

@@ -13,7 +13,6 @@ from charge_ladder.numerics import (
     ChargeSystem,
     CollisionError,
     ConvergenceFailure,
-    MultipleRootWarning,
     force,
     roots,
     to_floats,
@@ -67,11 +66,6 @@ def test_roots_residual_bound():
 def test_roots_requires_degree():
     with pytest.raises(ValueError):
         roots(ExactPoly.one())
-
-
-def test_roots_multiple_root_warning():
-    with pytest.warns(MultipleRootWarning):
-        roots(Z ** 2 - 2 * Z + 1)
 
 
 def counted_horner(monkeypatch) -> list:
@@ -256,12 +250,12 @@ def test_verify_equilibrium_preconditions():
 
 
 def test_verify_equilibrium_checks_separation_once(monkeypatch):
-    # once for the roots of z^5 + 1 (near-coincidence warning), once for the
-    # six charges; the force audit reuses from_pair's check
+    # once, for the six charges in from_pair's admission; `roots` makes no
+    # closeness check of its own and the force audit reuses from_pair's
     sizes, closest_pair = [], numerics.closest_pair
     monkeypatch.setattr(numerics, "closest_pair", lambda zs: sizes.append(len(zs)) or closest_pair(zs))
     assert verify_equilibrium(Z ** 5 + 1, Z, 2).equilibrium
-    assert sizes == [5, 6]
+    assert sizes == [6]
 
 
 def test_charge_system_json():
@@ -280,12 +274,17 @@ def test_charge_system_json():
 
 def test_charge_system_json_rejects_booleans():
     # JSON true and false are ints to Python; read as numbers, [[true, 0]]
-    # would be a charge at 1+0j
+    # would be a charge at 1+0j.  Strings are not numbers either, though
+    # float(" 2e0 ") and complex("1+2j") would read them
     for blob in ({"positions": [[True, 0]], "charges": [1]},
                  {"positions": [[1, False]], "charges": [1]},
                  {"positions": [[1, 0]], "charges": [True]},
                  {"positions": [[1, 0]], "charges": [1], "field": False},
-                 {"positions": [[1, 0]], "charges": [1], "field": [0, True]}):
+                 {"positions": [[1, 0]], "charges": [1], "field": [0, True]},
+                 {"positions": [[1, 0], [-1, 0]], "charges": ["1", " 2e0 "]},
+                 {"positions": [[1, 0]], "charges": [1], "field": "1+2j"},
+                 {"positions": [[1, 0]], "charges": [1], "field": ["0", 1]},
+                 {"positions": [["1", 0]], "charges": [1]}):
         with pytest.raises(ValueError, match="is not a number"):
             ChargeSystem.from_json(blob)
 

@@ -20,20 +20,13 @@ from charge_ladder.polyrat import (
     invert_mod,
     is_squarefree,
     polynomial_solution,
-    residue_divisibility,
     squarefree_factorization,
     wronskian,
 )
-from conftest import euclid_gcd, leibniz_det, nonzero_rational
+from conftest import euclid_gcd, leibniz_det, nonzero_rational, random_poly
 
 Z = ExactPoly.x()
 ONE = ExactPoly.one()
-
-
-def random_poly(rng, degree, span=6):
-    coeffs = [F(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(degree)]
-    coeffs.append(F(rng.randint(1, span)))
-    return ExactPoly(coeffs)
 
 
 # -- ring operations ---------------------------------------------------------
@@ -737,53 +730,7 @@ def test_polynomial_solution_higher_order():
         assert polynomial_solution(ops, rhs) == r
 
 
-# -- residue criterion ------------------------------------------------------------
-
-
-def test_residue_divisibility_examples():
-    assert residue_divisibility(Z ** 5 + 1, Z, 2)
-    # mirrored test of the pair (z, z^2+1) at lambda 2 swaps roles and inverts lambda
-    assert residue_divisibility(Z ** 2 + 1, Z, F(1, 2))
-    assert not residue_divisibility(Z ** 2 - 1, Z, 1)
-    # a nonzero constant p divides everything
-    assert residue_divisibility(ExactPoly.constant(3), Z + 1, 2)
-
-
-def test_residue_divisibility_preconditions():
-    for p in (Z ** 2, ExactPoly.zero()):
-        with pytest.raises(NotSquarefree, match="p must be nonzero and squarefree"):
-            residue_divisibility(p, Z + 1, 1)
-    with pytest.raises(NotCoprime):
-        residue_divisibility(Z ** 2 - 1, Z - 1, 1)
-
-
-def both_sides_divisible(p, q, lam):
-    return residue_divisibility(p, q, lam) and residue_divisibility(q, p, 1 / F(lam))
-
-
-def test_residue_criterion_matches_bracket_on_random_pairs():
-    rng = random.Random(61)
-    checked = 0
-    while checked < 30:
-        p = random_poly(rng, rng.randint(1, 6))
-        q = random_poly(rng, rng.randint(1, 4))
-        if not (is_squarefree(p) and is_squarefree(q)):
-            continue
-        if gcd_poly(p, q).degree != 0:
-            continue
-        for lam in (F(1, 2), F(1), F(2)):
-            assert both_sides_divisible(p, q, lam) == bracket(p, q, BracketParams(lam)).is_zero
-        checked += 1
-
-
-def test_residue_criterion_on_certified_pairs(ladder_chain, adler_moser_chain):
-    for i in range(-3, 4):
-        p, q = ladder_chain[i]
-        if q.degree < 1:
-            continue
-        assert both_sides_divisible(p, q, 2)
-    for n in range(1, 6):
-        assert both_sides_divisible(adler_moser_chain[n], adler_moser_chain[n + 1], 1)
+# -- log obstructions against the bracket -----------------------------------------
 
 
 def test_hermite_obstruction_vanishes_iff_bracket_on_ladder(ladder_chain):
