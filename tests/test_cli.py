@@ -396,9 +396,6 @@ MALFORMED = {
      "cannot read initial condition from in.json: not a charge system: True is not a number"),
     (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": [1, 1], '
      '"field": false}', "cannot read initial condition from in.json: not a charge system: False"),
-    (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": ["1", " 2e0 "], '
-     '"field": "1+2j"}',
-     "cannot read initial condition from in.json: not a charge system: '1+2j' is not a number"),
     *((["simulate", "--init", name], None, "squared pair distances leave float64's normal range")
       for name in ("positions-far.json", "positions-near.json")),
     # a charge ratio or field past float64 is refused, not a verdict (exit 1)
@@ -408,6 +405,10 @@ MALFORMED = {
      "lam and k must be finite in float64"),
     (["certify", "coeffs-float.json", "q.json"], None,
      "cannot read polynomial from coeffs-float.json: polynomial JSON"),
+    # new cases go last: pytest names each case by its position
+    (["simulate", "--init", "in.json"], '{"positions": [[1, 0], [-1, 0]], "charges": ["1", " 2e0 "], '
+     '"field": "1+2j"}',
+     "cannot read initial condition from in.json: not a charge system: '1+2j' is not a number"),
 ])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, in_json, message):
     monkeypatch.chdir(tmp_path)
