@@ -23,7 +23,7 @@ product and no complex arithmetic.  `integrate` evolves the real state
 takes H, nearest-neighbour distances and collisions from its last kernel.
 A trajectory keeps each accepted step as a `TrajectorySample`: two complex128
 arrays (positions, velocities), not a ChargeSystem and Python lists.
-Every entry point takes its system through the admission check of `numerics`.
+Every entry point takes its system and first pair kernel from `numerics._admit`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class StepSizeUnderflow(RuntimeError):
 def vortex_rhs(system: ChargeSystem) -> list[complex]:
     """Velocity of every root under the flow; zero exactly at equilibria of
     the field-free energy (the force of `numerics` divided by Q_i at k=0)."""
-    return _complex(_pair_kernel(*_admit(system)[:2])[0]).tolist()
+    return _complex(_admit(system)[0]).tolist()
 
 
 class TrajectorySample:
@@ -154,9 +154,9 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Tra
     pair from it (l stays fixed while a step is retried).  Raises
     CollisionDetected (with time, pair and the partial trajectory) when two
     charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame, and ValueError on a system the admission check
-    refuses (not finite, or squared pair distances outside float64's normal
-    range) and on a t_end or rel_tol that is not positive and finite.
+    nearby pair to blame, and ValueError on a system admission refuses (not
+    finite, or squared pair distances outside float64's normal range), where
+    a term of H overflows, and on a t_end or rel_tol not positive and finite.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -164,7 +164,7 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Tra
         raise ValueError("rel_tol must be positive and finite")
     traj = Trajectory()
     try:
-        xy, qs, diam = _admit(system)
+        v, d, inv, xy, qs, diam = _admit(system)
     except CollisionError as exc:
         raise CollisionDetected(0.0, exc.pair, traj) from exc
 
@@ -178,7 +178,7 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Tra
     t, n = 0.0, xy.shape[1]
     y = xy.reshape(-1)  # the real state (x, y)
     ks = np.empty((7, 2 * n))  # stage velocities; row 0 is the last accepted step's
-    ks[0], d, inv = _pair_kernel(y.reshape(2, n), qs)
+    ks[0] = v
     record(t, y, d, inv, ks[0])
     ell, dist, pair = _neighbours(inv)
     rate = float((np.hypot(ks[0, :n], ks[0, n:]) / ell).max(initial=0.0))  # max |v_i|/l_i
@@ -235,19 +235,23 @@ def _neighbours(inv: np.ndarray) -> tuple[np.ndarray, float, tuple[int, int] | N
 
 
 def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) -> complex:
-    """H from the pair kernel (d, inv) and the complex velocities v.  Half
-    the pair sum is sum_ij Q_i**2 Q_j w_ij**2, as w_ij**2 is symmetric; with
-    w = a + ib for (a, b) = d, and a**2 + b**2 = inv, w**2 = 2a**2 - inv + 2iab."""
+    """H from the pair kernel (d, inv) and the complex velocities v; ValueError
+    where a term overflows.  Half the pair sum is sum_ij Q_i**2 Q_j w_ij**2, as
+    w_ij**2 is symmetric; with w = a + ib for (a, b) = d, and a**2 + b**2 = inv,
+    w**2 = 2a**2 - inv + 2iab."""
     n = len(qs)
     q2 = qs * qs
-    aa, ab = ((d[0] * d).reshape(2 * n, n) @ qs).reshape(2, n) @ q2
-    return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), 2 * ab)
+    try:
+        with np.errstate(over="raise"):
+            aa, ab = ((d[0] * d).reshape(2 * n, n) @ qs).reshape(2, n) @ q2
+            return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), 2 * ab)
+    except FloatingPointError as exc:
+        raise ValueError(f"the terms of H leave float64's range: {exc}") from exc
 
 
 def conserved_quantity(system: ChargeSystem) -> complex:
     """The charge-weighted invariant H of the flow (see module docstring)."""
-    xy, qs, *_ = _admit(system)
-    v, d, inv = _pair_kernel(xy, qs)
+    v, d, inv, _, qs, _ = _admit(system)
     return _invariant(d, inv, qs, _complex(v))
 
 
@@ -258,8 +262,7 @@ def acceleration_residual(system: ChargeSystem) -> float:
     closed pairwise law; the difference must vanish at any configuration,
     not just along trajectories.  ValueError where a cubic term overflows.
     """
-    xy, qs, *_ = _admit(system)
-    v, d, _ = _pair_kernel(xy, qs)
+    v, d, _, _, qs, _ = _admit(system)
     w, v = d[0] + 1j * d[1], _complex(v)
     try:
         with np.errstate(over="raise"):

@@ -6,7 +6,8 @@ simultaneous Aberth-Ehrlich iteration in extended precision; forces use the
 complex convention F_i = Q_i (k + sum_{j != i} Q_j / (z_i - z_j)), whose zero
 set coincides with critical points of the logarithmic energy.  Pair sums come
 from `_pair_kernel`: d = (Re, Im) of 1/(z_i - z_j) by one exact rank-2 product.
-One admission check (`_admit`) serves `force`, `from_pair` and `dynamics`.
+One admission (`_admit`) serves every entry point: it builds the differences
+once, reads closeness from their squares and returns the kernel for reuse.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "DEFAULT_ROOT_TOL",
     "DEFAULT_FORCE_TOL",
     "COLLISION_FACTOR",
-    "closest_pair",
     "force",
     "roots",
     "to_floats",
@@ -37,7 +37,7 @@ __all__ = [
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_FORCE_TOL = 1e-8
 COLLISION_FACTOR = 1e-10
-_AUG = np.array([[[1.0], [0.0], [-1.0]], [[-1.0], [0.0], [1.0]]])  # `_pair_kernel`'s sign rows
+_AUG = np.array([[[1.0], [0.0], [-1.0]], [[-1.0], [0.0], [1.0]]])  # `_differences`' sign rows
 
 
 class CollisionError(ValueError):
@@ -114,22 +114,26 @@ class ChargeSystem:
         CollisionError, and roots whose squared distances leave float64's
         normal range ConvergenceFailure.
         """
-        require_squarefree_coprime(p, q)
-        try:
-            charge = -float(Fraction(lam))
-            re, im = (k.real, k.imag) if isinstance(k, complex) else (k, 0)
-            fld = complex(float(Fraction(re)), float(Fraction(im)))
-        except OverflowError as exc:
-            raise ValueError(f"lam and k must be finite in float64: {exc}") from exc
-        positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
-        system = cls(positions, [1.0] * int(p.degree) + [charge] * int(q.degree), fld)
-        try:
-            _admit(system)
-        except CollisionError:
-            raise
-        except ValueError as exc:  # the roots are finite, their squared distances are not
-            raise ConvergenceFailure(f"float64 cannot hold the roots: {exc}") from exc
-        return system
+        return _pair_system(p, q, lam, k)[0]
+
+
+def _pair_system(p: ExactPoly, q: ExactPoly, lam, k) -> tuple[ChargeSystem, tuple]:
+    """`ChargeSystem.from_pair(p, q, lam, k)` and its admission (`_admit`)."""
+    require_squarefree_coprime(p, q)
+    try:
+        charge = -float(Fraction(lam))
+        re, im = (k.real, k.imag) if isinstance(k, complex) else (k, 0)
+        fld = complex(float(Fraction(re)), float(Fraction(im)))
+    except OverflowError as exc:
+        raise ValueError(f"lam and k must be finite in float64: {exc}") from exc
+    positions = [z for poly in (p, q) if poly.degree >= 1 for z in roots(poly)]
+    system = ChargeSystem(positions, [1.0] * int(p.degree) + [charge] * int(q.degree), fld)
+    try:
+        return system, _admit(system)
+    except CollisionError:
+        raise
+    except ValueError as exc:  # the roots are finite, their squared distances are not
+        raise ConvergenceFailure(f"float64 cannot hold the roots: {exc}") from exc
 
 
 def _require_finite(system: ChargeSystem) -> None:
@@ -150,19 +154,30 @@ def _horner(coeffs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _pair_kernel(xy: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(velocities, d, inv) of the points z = x + iy, given as the contiguous
-    (2, N) array (x, y), and the charges qs: inv = 1/|z_i - z_j|**2 and d =
-    (x_i - x_j, y_j - y_i) * inv = (Re, Im) of 1/(z_i - z_j), 0 on the diagonal,
-    so the velocities are d @ qs.  One rank-2 product of the rows (1, x, -1) and
-    (-1, y, 1) gives the differences, each rounded once as its two products are
-    exact.  The caller has admitted the points (`_admit`)."""
+def _differences(xy: np.ndarray) -> np.ndarray:
+    """(x_i - x_j, y_j - y_i) of the points z = x + iy, given as the contiguous
+    (2, N) array (x, y): one rank-2 product of the rows (1, x, -1) and
+    (-1, y, 1), each entry rounded once as its two products are exact."""
     n = xy.shape[1]
     aug = _AUG.repeat(n, axis=2)
     aug[:, 1] = xy
-    d = aug[:, 1:].transpose(0, 2, 1) @ aug[:, :2]
+    return aug[:, 1:].transpose(0, 2, 1) @ aug[:, :2]
+
+
+def _pair_kernel(xy: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(velocities, d, inv) of the points xy (see `_differences`) and the
+    charges qs: inv = 1/|z_i - z_j|**2 and d = (x_i - x_j, y_j - y_i) * inv =
+    (Re, Im) of 1/(z_i - z_j), 0 on the diagonal, so the velocities are
+    d @ qs.  The caller has admitted the points (`_admit`)."""
+    d = _differences(xy)
     inv = np.square(d[0])
     inv += np.square(d[1])
+    return _finish_kernel(d, inv, qs)
+
+
+def _finish_kernel(d: np.ndarray, inv: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_pair_kernel` from the differences d and their squared lengths inv, both overwritten."""
+    n = len(qs)
     inv.reshape(-1)[:: n + 1] = np.inf  # whose reciprocal is 0
     np.reciprocal(inv, out=inv)
     d *= inv
@@ -176,39 +191,48 @@ def _complex(a: np.ndarray) -> np.ndarray:
     return z
 
 
-def closest_pair(zs: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
-    """Smallest distance between two of the points zs, the pair (i, j)
-    attaining it and the largest distance (the diameter), all from one
-    distance matrix; (inf, None, 1.0) for fewer than two points."""
-    n = len(zs)
+def _extremes(m: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
+    """The least off-diagonal entry of the square matrix m, the pair (i, j)
+    attaining it and the largest entry; (inf, None, 1.0) for fewer than two
+    rows.  Sets the diagonal of m to inf."""
+    n = len(m)
     if n < 2:
         return np.inf, None, 1.0
-    dist = np.abs(zs[:, None] - zs[None, :])
-    diameter = float(dist.max())
-    dist.reshape(-1)[:: n + 1] = np.inf
-    k = int(dist.argmin())
-    return float(dist.flat[k]), divmod(k, n), diameter
+    top = float(m.max())
+    m.reshape(-1)[:: n + 1] = np.inf
+    k = int(m.argmin())
+    return float(m.flat[k]), divmod(k, n), top
 
 
 # distances whose squares are normal floats (max/2: a sum of two squares rounds up)
 _SQUARED_RANGE = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max / 2))
 
 
-def _admit(system: ChargeSystem) -> tuple[np.ndarray, np.ndarray, float]:
-    """The (2, N) real and imaginary parts of the positions, the charges and
-    their diameter.  ValueError on a non-finite entry, CollisionError on a
-    pair within COLLISION_FACTOR times the diameter (`closest_pair`), and
-    ValueError on a squared distance outside float64's normal range
-    (`_pair_kernel` needs it)."""
+def _admit(system: ChargeSystem) -> tuple:
+    """(v, d, inv, xy, qs, diameter): the pair kernel of `_pair_kernel`, the
+    (2, N) positions, the charges and their diameter, from one set of
+    differences.  ValueError on a non-finite entry, CollisionError on a pair
+    within COLLISION_FACTOR times the diameter and ValueError on a squared
+    distance outside float64's normal range, judged on the squared distances;
+    a system the range refuses is judged again on their hypot, so a square
+    past float64 neither hides a collision nor garbles the distances named."""
     _require_finite(system)
     zs = np.asarray(system.positions, dtype=complex)
-    dist, pair, diameter = closest_pair(zs)
+    xy, qs = np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float)
+    d = _differences(xy)
+    with np.errstate(over="ignore"):  # a square past float64 is refused below
+        inv = np.square(d[0])
+        inv += np.square(d[1])
+    dist, pair, diameter = _extremes(inv)
+    dist, diameter = np.sqrt(dist), np.sqrt(diameter)
+    if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
+        dist, pair, diameter = _extremes(np.hypot(d[0], d[1]))
+        if dist > COLLISION_FACTOR * diameter:
+            raise ValueError("squared pair distances leave float64's normal range "
+                             f"(distances {dist:.3e} to {diameter:.3e})")
     if dist <= COLLISION_FACTOR * diameter:
         raise CollisionError(pair, dist)
-    if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
-        raise ValueError("squared pair distances leave float64's normal range "
-                         f"(distances {dist:.3e} to {diameter:.3e})")
-    return np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float), diameter
+    return (*_finish_kernel(d, inv, qs), xy, qs, diameter)
 
 
 def roots(p: ExactPoly) -> list[complex]:
@@ -267,11 +291,8 @@ def force(system: ChargeSystem) -> list[complex]:
     All components vanishing is exactly the critical-point condition of the
     logarithmic pair energy (plus linear field term).
     """
-    return _force(*_admit(system)[:2], system.field)
-
-
-def _force(xy: np.ndarray, qs: np.ndarray, k: complex) -> list[complex]:
-    return (qs * (k + _complex(_pair_kernel(xy, qs)[0]))).tolist()
+    v, *_, qs, _ = _admit(system)
+    return (qs * (system.field + _complex(v))).tolist()
 
 
 @dataclass
@@ -311,7 +332,7 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    system = ChargeSystem.from_pair(p, q, lam, k)
+    system, (v, *_, qs, _) = _pair_system(p, q, lam, k)
     deg_p = int(p.degree)
     residuals: list[float] = []
     try:
@@ -319,8 +340,7 @@ def verify_equilibrium(p: ExactPoly, q: ExactPoly, lam, k=0,
             residuals += np.abs(_horner(to_floats(poly), np.asarray(zs, dtype=complex))).tolist()
     except OverflowError as exc:
         raise ConvergenceFailure(f"float64 cannot hold the coefficients: {exc}") from exc
-    zs = np.asarray(system.positions, dtype=complex)  # from_pair has admitted them
-    forces = _force(np.stack((zs.real, zs.imag)), np.asarray(system.charges), system.field)
+    forces = (qs * (system.field + _complex(v))).tolist()
     max_norm = max((abs(f) for f in forces), default=0.0)
     return EquilibriumReport(
         max_force_norm=max_norm,

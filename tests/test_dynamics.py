@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from charge_ladder import dynamics
+from charge_ladder import numerics
 from charge_ladder.dynamics import (
     CollisionDetected,
     StepSizeUnderflow,
@@ -18,7 +18,7 @@ from charge_ladder.dynamics import (
     vortex_rhs,
 )
 from charge_ladder.generators import lambda2_ladder
-from charge_ladder.numerics import ChargeSystem, CollisionError, closest_pair, force, roots
+from charge_ladder.numerics import ChargeSystem, CollisionError, force, roots
 from charge_ladder.polyrat import ExactPoly
 
 Z = ExactPoly.x()
@@ -128,6 +128,30 @@ def test_acceleration_overflow_raises():
         acceleration_residual(system)
 
 
+@pytest.mark.parametrize("q", [4.0, 10.0])
+def test_invariant_overflow_raises(q):
+    # admitted (the squared distance 4e-308 is a normal float), but the terms
+    # of H are about q**3 / 4e-308; at q = 1 they still fit
+    system = ChargeSystem([0j, 2e-154], [q, q])
+    assert len(vortex_rhs(system)) == len(force(system)) == 2
+    for evaluate in (conserved_quantity, partial(integrate, t_end=1e-300)):
+        with pytest.raises(ValueError, match="terms of H leave float64's range"):
+            evaluate(system)
+    system = ChargeSystem([0j, 2e-154], [1.0, 1.0])
+    assert conserved_quantity(system) == 0j
+    assert integrate(system, 1e-300).final.t == 1e-300
+
+
+@pytest.mark.parametrize("evaluate", [force, vortex_rhs, conserved_quantity, acceleration_residual])
+def test_entry_points_build_one_pair_kernel(evaluate, monkeypatch):
+    # admission's differences serve the closeness test and the kernel both
+    sizes, differences = [], numerics._differences
+    monkeypatch.setattr(numerics, "_differences",
+                        lambda xy: sizes.append(xy.shape[1]) or differences(xy))
+    evaluate(random_separated_config(random.Random(3), 7, 2.0))
+    assert sizes == [7]
+
+
 @pytest.mark.parametrize("gap, inside", [(1e160, 1e150), (1e-160, 1e-150)])
 @pytest.mark.parametrize("evaluate", [vortex_rhs, force, conserved_quantity, acceleration_residual,
                                       pytest.param(partial(integrate, t_end=1.0), id="integrate")])
@@ -180,7 +204,10 @@ def test_attracting_pair_collides_in_finite_time():
     with pytest.raises(CollisionDetected) as info:
         integrate(ChargeSystem([1e12 + 0j, 100 + 0j, -100 + 0j], [1.0, 1.0, -2.0]), 19000.0)
     final = info.value.trajectory.final
-    gap, pair, _ = closest_pair(np.array(final.system.positions))
+    zs = np.array(final.system.positions)
+    dist = np.abs(zs[:, None] - zs[None, :]) + np.diag([np.inf] * len(zs))
+    pair = divmod(int(dist.argmin()), len(zs))
+    gap = dist.min()
     assert info.value.time == final.t and 15000.0 < final.t < 19000.0
     assert info.value.pair == pair == (1, 2)
     assert gap < 100.01
@@ -307,10 +334,11 @@ def test_integrate_error_norm_without_scale():
 
 
 def test_integrate_builds_one_pair_kernel_per_stage(monkeypatch):
-    # one kernel for the initial state, then one for each of the six stages
-    # of every step tried; an accepted step reuses its last stage's kernel
-    calls, kernel = [], dynamics._pair_kernel
-    monkeypatch.setattr(dynamics, "_pair_kernel", lambda *args: calls.append(1) or kernel(*args))
+    # one set of differences for the initial state (admission's kernel), then
+    # one for each of the six stages of every step tried; an accepted step
+    # reuses its last stage's kernel
+    calls, differences = [], numerics._differences
+    monkeypatch.setattr(numerics, "_differences", lambda xy: calls.append(1) or differences(xy))
     traj = integrate(random_separated_config(random.Random(0), 8, 2.0), 1.0)
     assert traj.steps_rejected > 0
     assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.steps_rejected)
