@@ -54,7 +54,6 @@ from .polyrat import (
     gcd_poly,
     hermite_reduce,
     integrate_rational,
-    squarefree_factorization,
     wronskian,
 )
 from .spectral import (

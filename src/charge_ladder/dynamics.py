@@ -244,7 +244,7 @@ def _invariant(d: np.ndarray, inv: np.ndarray, qs: np.ndarray, v: np.ndarray) ->
     try:
         with np.errstate(over="raise"):
             aa, ab = ((d[0] * d).reshape(2 * n, n) @ qs).reshape(2, n) @ q2
-            return complex(qs @ (v * v)) - complex(2 * aa - q2 @ (inv @ qs), 2 * ab)
+            return complex(qs @ (v * v)) - complex(2 * (aa - q2 @ (inv @ qs) / 2), 2 * ab)
     except FloatingPointError as exc:
         raise ValueError(f"the terms of H leave float64's range: {exc}") from exc
 

@@ -215,21 +215,22 @@ def _admit(system: ChargeSystem) -> tuple:
     within COLLISION_FACTOR times the diameter and ValueError on a squared
     distance outside float64's normal range, judged on the squared distances;
     a system the range refuses is judged again on their hypot, so a square
-    past float64 neither hides a collision nor garbles the distances named."""
+    past float64 neither hides a collision nor garbles the distances named,
+    and one whose diameter overflows is refused by range."""
     _require_finite(system)
     zs = np.asarray(system.positions, dtype=complex)
     xy, qs = np.stack((zs.real, zs.imag)), np.asarray(system.charges, dtype=float)
-    d = _differences(xy)
-    with np.errstate(over="ignore"):  # a square past float64 is refused below
+    with np.errstate(over="ignore"):  # an overflow here is refused below
+        d = _differences(xy)
         inv = np.square(d[0])
         inv += np.square(d[1])
-    dist, pair, diameter = _extremes(inv)
-    dist, diameter = np.sqrt(dist), np.sqrt(diameter)
-    if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
-        dist, pair, diameter = _extremes(np.hypot(d[0], d[1]))
-        if dist > COLLISION_FACTOR * diameter:
-            raise ValueError("squared pair distances leave float64's normal range "
-                             f"(distances {dist:.3e} to {diameter:.3e})")
+        dist, pair, diameter = _extremes(inv)
+        dist, diameter = np.sqrt(dist), np.sqrt(diameter)
+        if not (_SQUARED_RANGE[0] <= dist and diameter <= _SQUARED_RANGE[1]):
+            dist, pair, diameter = _extremes(np.hypot(d[0], d[1]))
+            if not dist <= COLLISION_FACTOR * diameter < np.inf:
+                raise ValueError("squared pair distances leave float64's normal range "
+                                 f"(distances {dist:.3e} to {diameter:.3e})")
     if dist <= COLLISION_FACTOR * diameter:
         raise CollisionError(pair, dist)
     return (*_finish_kernel(d, inv, qs), xy, qs, diameter)

@@ -16,8 +16,8 @@ module provides the symbolic primitives everything else is built on:
 * Wronskians by Sylvester condensation (``wronskian``): about n**2/2
   two-by-two Wronskians, each divided exactly by the previous pivot,
 * reduction of integrals of the form N/p**2 (``hermite_reduce``, whose
-  modular inverse only writes out a log obstruction, plus the fully general
-  ``integrate_rational`` for arbitrary denominators).
+  modular inverse only writes out a log obstruction), and of N/D for any D
+  by Mack's linear Hermite reduction (``integrate_rational``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "is_squarefree",
     "polynomial_solution",
     "require_squarefree_coprime",
-    "squarefree_factorization",
     "wronskian",
 ]
 
@@ -761,32 +760,6 @@ def require_squarefree_coprime(p: ExactPoly, q: ExactPoly) -> None:
         raise NotCoprime("p and q share a root")
 
 
-def squarefree_factorization(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
-    """Yun's algorithm: monic factors [(f_i, i)] with p = lead * prod f_i**i."""
-    if p.is_zero:
-        raise DivisionByZero("cannot factor the zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    g = gcd_poly(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    out = []
-    b = exact_div(p, g)
-    c = exact_div(p.derivative(), g)
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = gcd_poly(b, d)
-        if a.degree > 0:
-            out.append((a, i))
-        b = exact_div(b, a)
-        c = exact_div(d, a)
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Wronskians
 # ---------------------------------------------------------------------------
@@ -905,62 +878,39 @@ def hermite_reduce(num: ExactPoly, p: ExactPoly) -> ReductionResult:
     return ReductionResult(poly_part.antiderivative(), c, b)
 
 
-def _fraction_add(n1: ExactPoly, d1: ExactPoly, n2: ExactPoly, d2: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
-    num = n1 * d2 + n2 * d1
-    den = d1 * d2
+def _lowest_terms(num: ExactPoly, den: ExactPoly) -> tuple[ExactPoly, ExactPoly]:
+    """num/den in lowest terms over a monic denominator; 0/1 for num = 0."""
     if num.is_zero:
         return ExactPoly.zero(), ExactPoly.one()
     g = gcd_poly(num, den)
-    if g.degree > 0:
-        num, den = exact_div(num, g), exact_div(den, g)
-    lead = den.lead
-    return num / lead, den / lead
+    num, den = exact_div(num, g), exact_div(den, g)
+    return num / den.lead, den.monic()
 
 
 def integrate_rational(num: ExactPoly, den: ExactPoly) -> RationalIntegral:
-    """Hermite-Ostrogradsky reduction of the integral of num/den.
+    """Hermite reduction of the integral of num/den for any nonzero den, by
+    Mack's linear version (Bronstein, Symbolic Integration I, 2nd ed., 2.2).
 
-    Works for any nonzero denominator: the fraction is put in lowest terms,
-    the polynomial part is integrated directly, and repeated factors of the
-    denominator are peeled off one multiplicity at a time via modular
-    inverses, leaving a proper remainder over a squarefree denominator whose
-    numerator is the (only possible) logarithmic obstruction.
+    With D = den made monic, G = gcd(D, D') and S = D/G squarefree, the
+    proper part of num/den is A/D = (R/G)' + L/S.  Each step lowers G_k (G_0 =
+    G) to G_(k+1) = gcd(G_k, G_k'): with V = G_k/G_(k+1) and W = -S*G_k'/G_k,
+    both polynomials, B = A/W mod V gives A/(S*G_k) = (B/G_k)' + A_next/(S*G_(k+1))
+    for A_next = (A - B*W)/V - B'*S/V, and B/G_k adds B*(G/G_k) to R.  Both
+    fractions are returned in lowest terms over monic denominators, 0/1 for
+    a zero part: the decomposition's unique normal form.
     """
     if den.is_zero:
         raise DivisionByZero("denominator polynomial is zero")
-    if num.is_zero:
-        zero, one = ExactPoly.zero(), ExactPoly.one()
-        return RationalIntegral(zero, zero, one, zero, one)
-    num = num / den.lead
-    den = den.monic()
-    g = gcd_poly(num, den)
-    if g.degree > 0:
-        num, den = exact_div(num, g), exact_div(den, g)
-    poly_part, a = divmod(num, den)
-    rat_num, rat_den = ExactPoly.zero(), ExactPoly.one()
-    d = den
-    while not a.is_zero and d.degree > 0:
-        factors = squarefree_factorization(d)
-        top = max(mult for _, mult in factors)
-        if top == 1:
-            break
-        v = ExactPoly.one()
-        for f, mult in factors:
-            if mult == top:
-                v = v * f
-        u = exact_div(d, v ** top)
-        # choose B with A + (top-1)*B*V'*U = 0 (mod V); then A/(U V^top)
-        # minus d/dz(B/V^(top-1)) has denominator U V^(top-1)
-        w = (u * v.derivative() * Fraction(-(top - 1))) % v
+    d = den.monic()
+    poly_part, a = divmod(num / den.lead, d)
+    g = gcd_poly(d, d.derivative())
+    s, gk, rat = exact_div(d, g), g, ExactPoly.zero()
+    while gk.degree > 0:
+        g_next = gcd_poly(gk, gk.derivative())
+        v = exact_div(gk, g_next)
+        w = -exact_div(s * gk.derivative(), gk)
         b = (a * invert_mod(w, v)) % v
-        rat_num, rat_den = _fraction_add(rat_num, rat_den, b, v ** (top - 1))
-        a = exact_div(a + b * v.derivative() * u * (top - 1), v) - b.derivative() * u
-        d = u * v ** (top - 1)
-        if not a.is_zero:
-            g = gcd_poly(a, d)
-            if g.degree > 0:
-                a, d = exact_div(a, g), exact_div(d, g)
-    if a.is_zero:
-        d = ExactPoly.one()
-    return RationalIntegral(poly_part.antiderivative(), rat_num, rat_den, a, d)
-
+        a = exact_div(a - b * w, v) - b.derivative() * exact_div(s, v)
+        rat = rat + b * exact_div(g, gk)
+        gk = g_next
+    return RationalIntegral(poly_part.antiderivative(), *_lowest_terms(rat, g), *_lowest_terms(a, s))

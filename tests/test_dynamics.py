@@ -137,9 +137,12 @@ def test_invariant_overflow_raises(q):
     for evaluate in (conserved_quantity, partial(integrate, t_end=1e-300)):
         with pytest.raises(ValueError, match="terms of H leave float64's range"):
             evaluate(system)
-    system = ChargeSystem([0j, 2e-154], [1.0, 1.0])
-    assert conserved_quantity(system) == 0j
-    assert integrate(system, 1e-300).final.t == 1e-300
+    # down to admission's lower edge, sqrt of the least normal float, where
+    # 2 a**2 would overflow though no term of H does
+    for gap in (2e-154, 1.4916681462400413e-154):
+        system = ChargeSystem([0j, gap], [1.0, 1.0])
+        assert conserved_quantity(system) == 0j
+        assert integrate(system, 1e-300).final.t == 1e-300
 
 
 @pytest.mark.parametrize("evaluate", [force, vortex_rhs, conserved_quantity, acceleration_residual])

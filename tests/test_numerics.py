@@ -234,6 +234,8 @@ RANGE = "squared pair distances leave float64's normal range"
     ([0, 1e150, 1e160], CollisionError, "charges 0 and 1 within 1.000e+150"),
     ([0, 1e-155, 1e-144], CollisionError, "charges 0 and 1 within 1.000e-155"),
     ([1e153, -1e153, 0], None, None),
+    ([0, 1e308, -1e308], ValueError, f"{RANGE} (distances 1.000e+308 to inf)"),
+    ([0, 0, 1e308, -1e308], ValueError, f"{RANGE} (distances 0.000e+00 to inf)"),
 ])
 def test_admission_verdicts_at_the_edges_of_float64(positions, error, message):
     # a square past float64's normal range (1e160 squares to inf, 1e-163 to 0)

@@ -20,7 +20,6 @@ from charge_ladder.polyrat import (
     invert_mod,
     is_squarefree,
     polynomial_solution,
-    squarefree_factorization,
     wronskian,
 )
 from conftest import euclid_gcd, leibniz_det, nonzero_rational, random_poly
@@ -301,7 +300,7 @@ def test_rejections_at_ladder_scale_take_the_lanes(ladder_chain):
     with pytest.raises(NotSquarefree):
         certify_rational_integrals(double, q, 2)
     assert gcd_poly(p * g, q * g) == g.monic()
-    assert squarefree_factorization(p ** 2 * q) == [(q.monic(), 1), (p.monic(), 2)]
+    assert gcd_poly(p ** 2 * q, (p ** 2 * q).derivative()) == p.monic()
     assert time.perf_counter() - start < 1.5
 
 def test_lane_primes_are_the_primes_below_2_31():
@@ -506,12 +505,6 @@ def test_resultant_matches_sylvester_determinant():
             assert polyrat._resultant_cofactor(a, b) == (0, [])
 
 
-def test_squarefree_factorization_yun():
-    p = Z ** 3 * (Z + 1) ** 2 * (Z ** 2 + 1)
-    factors = dict((str(f), m) for f, m in squarefree_factorization(p))
-    assert factors == {"z": 3, "z + 1": 2, "z^2 + 1": 1}
-
-
 # -- wronskians ----------------------------------------------------------------
 
 
@@ -621,15 +614,26 @@ def integral_identity_holds(num, den):
 
 
 def test_integrate_rational_general_denominators():
+    # each case with its poly part, rational numerator and denominator, log
+    # numerator and denominator as to_json coefficients
     cases = [
-        ((Z ** 4 + 1) ** 4, Z ** 6),
-        (Z ** 7 + 3 * Z + 1, (Z ** 2 + 1) ** 2 * (Z - 2) ** 3),
-        (Z ** 2, Z ** 2 - 1),
-        (Z ** 5, (Z ** 2 + 2) ** 2),
-        (ONE, (Z ** 3 + Z + 1) ** 2),
+        ((Z ** 4 + 1) ** 4, Z ** 6,
+         [["0", "0", "0", "2", "0", "0", "0", "4/7", "0", "0", "0", "1/11"],
+          ["-1/5", "0", "0", "0", "-4"], ["0", "0", "0", "0", "0", "1"], [], ["1"]]),
+        (Z ** 7 + 3 * Z + 1, (Z ** 2 + 1) ** 2 * (Z - 2) ** 3,
+         [["0", "1"], ["817/50", "-233/25", "396/25", "-233/25"], ["4", "-4", "5", "-4", "1"],
+          ["144/25", "17/25", "6"], ["-2", "1", "-2", "1"]]),
+        (Z ** 2, Z ** 2 - 1, [["0", "1"], [], ["1"], ["1"], ["-1", "0", "1"]]),
+        (Z ** 5, (Z ** 2 + 2) ** 2, [["0", "0", "1/2"], ["-2"], ["2", "0", "1"], ["0", "-4"], ["2", "0", "1"]]),
+        (ONE, (Z ** 3 + Z + 1) ** 2,
+         [[], ["-4/31", "9/31", "-6/31"], ["1", "1", "0", "1"], ["18/31", "-6/31"], ["1", "1", "0", "1"]]),
     ]
-    for num, den in cases:
+    for num, den, golden in cases:
         assert integral_identity_holds(num, den)
+        red = integrate_rational(num, den)
+        fields = (red.poly_antideriv, red.rational_numerator, red.rational_denominator,
+                  red.log_numerator, red.log_denominator)
+        assert [f.to_json() for f in fields] == [{"var": "z", "coeffs": c} for c in golden]
 
 
 def test_integrate_rational_log_free_detection():
@@ -645,6 +649,45 @@ def test_integrate_rational_randomized_identity():
         num = random_poly(rng, rng.randint(0, 8))
         den = random_poly(rng, rng.randint(1, 4)) * random_poly(rng, rng.randint(0, 2)) ** 2
         assert integral_identity_holds(num, den)
+        # the normal form that makes the decomposition unique: P(0) = 0, both
+        # fractions proper and in lowest terms over monic denominators, 0/1
+        # for a zero part, and a squarefree log denominator
+        red = integrate_rational(num, den)
+        assert red.poly_antideriv.coeff(0) == 0
+        for n, d in ((red.rational_numerator, red.rational_denominator),
+                     (red.log_numerator, red.log_denominator)):
+            assert d.lead == 1 and n.degree < d.degree
+            assert d == ONE if n.is_zero else gcd_poly(n, d) == ONE
+        assert is_squarefree(red.log_denominator)
+
+
+def test_integrate_rational_agrees_with_hermite_reduce(ladder_chain):
+    # on squarefree p the general reduction of num/p**2 is hermite_reduce's
+    # P + C/p and B/p, each fraction put in lowest terms
+    def lowest_terms(n, d):
+        if n.is_zero:
+            return [ExactPoly.zero(), ONE]
+        g = gcd_poly(n, d)
+        n, d = exact_div(n, g), exact_div(d, g)
+        return [n / d.lead, d.monic()]
+
+    pairs = []
+    for i in (3, -3):
+        p, q = ladder_chain[i]
+        coeffs = list(p.coeffs)
+        coeffs[1] *= F(4, 3)  # an obstructed neighbour: both sides leave logs
+        pairs += [(q ** 4, p), (p, q), (q ** 4, ExactPoly(coeffs)), (ExactPoly(coeffs), q)]
+    rng = random.Random(67)
+    while len(pairs) < 38:
+        p = random_poly(rng, rng.randint(1, 8))
+        if is_squarefree(p):
+            pairs.append((random_poly(rng, rng.randint(0, 20)), p))
+    for num, p in pairs:
+        assert is_squarefree(p)
+        red, ref = integrate_rational(num, p * p), hermite_reduce(num, p)
+        assert red.poly_antideriv == ref.poly_antideriv
+        assert [red.rational_numerator, red.rational_denominator] == lowest_terms(ref.rational_part_numerator, p)
+        assert [red.log_numerator, red.log_denominator] == lowest_terms(ref.log_numerator, p)
 
 
 # -- top-down polynomial solutions ---------------------------------------------------
