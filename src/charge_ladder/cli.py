@@ -13,7 +13,8 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
        float roots that coincide (equilibrium, simulate --p/--q), on a pair
        the exact layer accepted as squarefree and coprime
     4  collision detected during simulation
-    5  integrator step-size underflow
+    5  integrator step-size underflow (simulate still writes the records
+       and the summary, status "step-underflow")
     6  internal invariant violated (a bug, not a verdict on the input)
 """
 
@@ -173,45 +174,38 @@ def _initial_system(args) -> ChargeSystem:
 
 def cmd_simulate(args) -> int:
     system = _initial_system(args)
-
-    def dump(traj, status, collision=None):
-        # --out opens only here, once integrate has checked its arguments
-        to_file = args.out not in (None, "-")
-        with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
-            for s in traj.samples:
-                record = {
-                    "t": s.t,
-                    "positions": [[z.real, z.imag] for z in s.system.positions],
-                    "velocities": [[v.real, v.imag] for v in s.velocities],
-                    "H": [s.invariant.real, s.invariant.imag],
-                }
-                out.write(json.dumps(record) + "\n")
-        h_abs, h_rel = traj.invariant_drift() if traj.samples else (0.0, 0.0)
-        summary = {
-            "status": status,
-            "steps_accepted": traj.steps_accepted,
-            "steps_rejected": traj.steps_rejected,
-            "max_error_estimate": traj.max_error_estimate,
-            "invariant_drift_abs": h_abs,
-            "invariant_drift_rel": h_rel,
-            "t_final": traj.samples[-1].t if traj.samples else 0.0,
-            "tolerances": {"rel": args.rel_tol},
-        }
-        if collision:
-            summary["collision"] = collision
-        _emit(summary)
-
     try:
         traj = integrate(system, args.t_end, rel_tol=args.rel_tol)
+        code, status, extra = 0, "ok", {}
     except CollisionDetected as exc:
-        dump(exc.trajectory, "collision",
-             {"time": exc.time, "pair": list(exc.pair)})
-        return 4
+        traj, code, status = exc.trajectory, 4, "collision"
+        extra = {"collision": {"time": exc.time, "pair": list(exc.pair)}}
     except StepSizeUnderflow as exc:
-        _emit({"status": "step-underflow", "detail": str(exc)})
-        return 5
-    dump(traj, "ok")
-    return 0
+        traj, code, status, extra = exc.trajectory, 5, "step-underflow", {"detail": str(exc)}
+    # --out opens only here, once integrate has checked its arguments
+    to_file = args.out not in (None, "-")
+    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        for s in traj.samples:
+            record = {
+                "t": s.t,
+                "positions": [[z.real, z.imag] for z in s.positions],
+                "velocities": [[v.real, v.imag] for v in s.velocities],
+                "H": [s.invariant.real, s.invariant.imag],
+            }
+            out.write(json.dumps(record) + "\n")
+    h_abs, h_rel = traj.invariant_drift() if traj.samples else (0.0, 0.0)
+    _emit({
+        "status": status,
+        "steps_accepted": traj.steps_accepted,
+        "steps_rejected": traj.steps_rejected,
+        "max_error_estimate": traj.max_error_estimate,
+        "invariant_drift_abs": h_abs,
+        "invariant_drift_rel": h_rel,
+        "t_final": traj.samples[-1].t if traj.samples else 0.0,
+        "tolerances": {"rel": args.rel_tol},
+        **extra,
+    })
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

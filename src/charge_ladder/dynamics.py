@@ -74,7 +74,12 @@ class CollisionDetected(RuntimeError):
 
 
 class StepSizeUnderflow(RuntimeError):
-    """The adaptive controller drove the step below the resolvable minimum."""
+    """The adaptive controller drove the step below the resolvable minimum;
+    carries the time reached and the trajectory accumulated so far."""
+
+    def __init__(self, time: float, trajectory: "Trajectory"):
+        super().__init__(f"step size underflowed at t={time:.6g}")
+        self.time, self.trajectory = time, trajectory
 
 
 def vortex_rhs(system: ChargeSystem) -> list[complex]:
@@ -86,8 +91,8 @@ def vortex_rhs(system: ChargeSystem) -> list[complex]:
 class TrajectorySample:
     """One accepted step: its time t, the invariant H, and the positions and
     velocities as two complex128 arrays; the charges and field are shared by
-    every sample of a run.  `system` and `velocities` build a new
-    ChargeSystem and list from the arrays on each access."""
+    every sample of a run.  `positions` and `velocities` build a new list,
+    and `system` a new ChargeSystem, from the arrays on each access."""
 
     __slots__ = ("t", "invariant", "_zs", "_vs", "_charges", "_field")
 
@@ -104,6 +109,10 @@ class TrajectorySample:
     @property
     def system(self) -> ChargeSystem:
         return ChargeSystem(self._zs.tolist(), self._charges, field=self._field)
+
+    @property
+    def positions(self) -> list[complex]:
+        return self._zs.tolist()
 
     @property
     def velocities(self) -> list[complex]:
@@ -153,10 +162,11 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Tra
     sits at the step's end, so an accepted step takes H, l and the closest
     pair from it (l stays fixed while a step is retried).  Raises
     CollisionDetected (with time, pair and the partial trajectory) when two
-    charges meet, StepSizeUnderflow when the controller collapses without a
-    nearby pair to blame, and ValueError on a system admission refuses (not
-    finite, or squared pair distances outside float64's normal range), where
-    a term of H overflows, and on a t_end or rel_tol not positive and finite.
+    charges meet, StepSizeUnderflow (with time and the partial trajectory)
+    when the controller collapses without a nearby pair to blame, and
+    ValueError on a system admission refuses (not finite, or squared pair
+    distances outside float64's normal range), where a term of H overflows,
+    and on a t_end or rel_tol not positive and finite.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError("t_end must be positive and finite")
@@ -193,7 +203,7 @@ def integrate(system: ChargeSystem, t_end: float, rel_tol: float = 1e-10) -> Tra
         if h <= 1e-14 * max(t, h0):
             if dist < 1e-6 * diam:
                 raise CollisionDetected(t, pair, traj)
-            raise StepSizeUnderflow(f"step size underflowed at t={t:.6g}")
+            raise StepSizeUnderflow(t, traj)
         for s, row in enumerate(_DP_A, 1):
             y_new = y + h * (row @ ks[:s])
             del d, inv  # before the next kernel, whose arrays then reuse their memory while cached
@@ -287,7 +297,7 @@ def bilinear_residual(p: ExactPoly, q: ExactPoly, lam, dt: float) -> float:
     p, q = p.monic(), q.monic()
     n, m = int(p.degree), int(q.degree)
     traj = integrate(system, dt, rel_tol=1e-12)
-    moved = traj.final.system.positions
+    moved = traj.final.positions
     p0 = np.asarray(to_floats(p))
     q0 = np.asarray(to_floats(q))
     p1 = np.poly(moved[:n])[::-1] if n else np.array([1.0 + 0j])

@@ -4,11 +4,11 @@ A polynomial is stored as integer numerators over one positive common
 denominator, in ascending degree order with trailing zeros stripped and in
 lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
-run by Kronecker substitution, a remainder-only Euclid mod a word-size prime
+run by Kronecker substitution, a remainder-only Euclid mod a 31-bit prime
 certifies squarefree and coprime pairs, and every other gcd, a modular
 inverse and the resultant deciding it come from one extended Euclid on many
-31-bit primes at once in numpy and a CRT.  On top of the ring operations the
-module provides the symbolic primitives everything else is built on:
+of the same sieved primes in numpy and a CRT.  On top of the ring operations
+the module provides the symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -498,14 +498,12 @@ def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
 # gcd machinery
 #
 # The common case here is certifying *coprimality* of large generated
-# polynomials, so gcd first tries a modular certificate: Euclid mod p on
-# remainders only, whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen
-# & Gerhard, Modern Computer Algebra, 6.4).  Where that is inconclusive,
-# gcd_poly reads the gcd by the small-primes modular gcd (ibid. 6.7; W. S.
-# Brown, J. ACM 18, 1971) from the lanes and CRT of the modular inverse below.
+# polynomials, so gcd first tries a modular certificate: Euclid mod a lane
+# prime on remainders only, whose gcd of degree 0 proves gcd 1 over Q (von
+# zur Gathen & Gerhard, Modern Computer Algebra, 6.4).  Where that is
+# inconclusive, gcd_poly reads the gcd by the small-primes modular gcd (ibid.
+# 6.7; W. S. Brown, J. ACM 18, 1971) from the lanes and CRT below.
 # ---------------------------------------------------------------------------
-
-_PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
 
 
 def _euclid_mod(a: Sequence[int], b: Sequence[int], prime: int) -> int:
@@ -544,7 +542,7 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    for prime in _PRIMES:
+    for prime in _lane_primes(3):
         if a._num[-1] % prime and b._num[-1] % prime:
             if _euclid_mod(a._num, b._num, prime) == 0:
                 return ExactPoly.one()
@@ -572,7 +570,7 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
         found, top = [], top - 1
 
 
-# -- modular inverse by many word-size primes ----------------------------------
+# -- modular inverse by many 31-bit lane primes -------------------------------
 #
 # For the numerators M, A of modulus and a, U*M + V*A = res(M, A) with U, V
 # integral and V, like res, made of Sylvester minors below the Hadamard bound

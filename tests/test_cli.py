@@ -5,7 +5,7 @@ import pytest
 
 from charge_ladder import cli
 from charge_ladder.cli import main
-from charge_ladder.dynamics import integrate
+from charge_ladder.dynamics import StepSizeUnderflow, integrate
 from charge_ladder.generators import BracketParams, bracket
 from charge_ladder.numerics import DEFAULT_FORCE_TOL, ChargeSystem
 from charge_ladder.polyrat import ExactPoly, InvariantViolation
@@ -337,11 +337,24 @@ def test_simulate_invalid_horizon_or_tolerance_exits_2_without_output(tmp_path, 
 
 
 def test_simulate_step_underflow_exit_5(tmp_path, capsys):
+    # the run keeps what it computed: one record per sample of the partial
+    # trajectory, and the summary every ending writes, with the detail
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"positions": [[1, 0], [-1, 0], [0, 1]], "charges": [1, 1, -2]}))
-    code, out, _ = run(capsys, "simulate", "--init", str(init), "--rel-tol", "1e-100")
+    out_path = tmp_path / "traj.jsonl"
+    code, out, _ = run(capsys, "simulate", "--init", str(init), "--rel-tol", "1e-100",
+                       "--out", str(out_path))
     assert code == 5
-    assert json.loads(out)["status"] == "step-underflow"
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate(ChargeSystem([1, -1, 1j], [1.0, 1.0, -2.0]), 1.0, rel_tol=1e-100)
+    traj = info.value.trajectory
+    summary = json.loads(out)
+    assert summary["status"] == "step-underflow" and summary["detail"] == str(info.value)
+    assert (summary["steps_accepted"], summary["steps_rejected"]) == (
+        traj.steps_accepted, traj.steps_rejected)
+    assert summary["steps_rejected"] > 0 and summary["t_final"] == info.value.time
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [r["t"] for r in records] == [s.t for s in traj.samples]
 
 
 # JSON input files by name: all but init.json of the wrong shape, with

@@ -191,6 +191,21 @@ def test_coprimality_certificate_makes_no_product(ladder_chain, monkeypatch):
     assert calls == []
 
 
+def test_coprimality_certificate_runs_on_the_first_lane_prime(ladder_chain, monkeypatch):
+    # the certificate draws from the lane primes: on every ladder pair each
+    # of its three Euclids runs mod the largest prime below 2**31, and none
+    # is inconclusive, so no lane runs
+    primes, lanes = [], []
+    euclid, lane = polyrat._euclid_mod, polyrat._euclid_lanes
+    monkeypatch.setattr(polyrat, "_euclid_mod",
+                        lambda a, b, prime: primes.append(prime) or euclid(a, b, prime))
+    monkeypatch.setattr(polyrat, "_euclid_lanes",
+                        lambda m, a, ps: lanes.append(1) or lane(m, a, ps))
+    for p, q in ladder_chain.values():
+        polyrat.require_squarefree_coprime(p, q)
+    assert primes and set(primes) == {polyrat._lane_primes(1)[0]} and lanes == []
+
+
 def test_euclid_mod_degree_matches_integer_gcd():
     # coprime pairs and products with a shared factor of degree 1..3, on
     # every prime: the gcd degree mod p equals that of Euclid over Q
@@ -202,17 +217,18 @@ def test_euclid_mod_degree_matches_integer_gcd():
     for shared in (0, 0, 1, 2, 3) * 8:
         g = vec(shared)
         a, b = polyrat._kmul(g, vec(rng.randint(1, 5))), polyrat._kmul(g, vec(rng.randint(0, 5)))
-        for prime in polyrat._PRIMES:
+        for prime in polyrat._lane_primes(3):
             assert polyrat._euclid_mod(a, b, prime) == len(euclid_gcd(a, b)) - 1
 
 
 def test_gcd_by_lanes_matches_euclid_over_q(monkeypatch):
-    # with no word-size certificate every pair runs lanes: equal degrees, one
-    # operand a multiple of the other, contents above 1, negative leads,
-    # rational coefficients and a degree-0 operand, each with a shared factor
-    # of degree 0..3, against Euclid over Q in both argument orders
+    # with a certificate that reports a shared factor, as one mod an unlucky
+    # prime does, every pair runs lanes: equal degrees, one operand a multiple
+    # of the other, contents above 1, negative leads, rational coefficients
+    # and a degree-0 operand, each with a shared factor of degree 0..3,
+    # against Euclid over Q in both argument orders
     rng = random.Random(6607)
-    monkeypatch.setattr(polyrat, "_PRIMES", ())
+    monkeypatch.setattr(polyrat, "_euclid_mod", lambda a, b, prime: 1)
     lanes, runs = polyrat._euclid_lanes, []
     monkeypatch.setattr(polyrat, "_euclid_lanes",
                         lambda m, a, primes: runs.append(1) or lanes(m, a, primes))
@@ -247,11 +263,11 @@ def test_gcd_by_lanes_matches_euclid_over_q(monkeypatch):
 
 def test_gcd_by_lanes_survives_a_false_common_factor(monkeypatch):
     # z^2 - P and z are coprime, but modulo each prime dividing P they share
-    # z: the word-size certificate and the first two lanes see it.  The first
-    # lane's z does not divide z^2 - P, so every lane so far was unlucky; the
-    # second lane, of degree 1 again, is discarded and the third proves gcd 1
+    # z: the certificate, mod table[0], and the first two lanes see it.  The
+    # first lane's z does not divide z^2 - P, so every lane so far was unlucky;
+    # the second lane, of degree 1 again, is discarded and the third proves gcd 1
     table = polyrat._lane_primes(3)
-    big = polyrat._PRIMES[0] * table[0] * table[1]
+    big = table[0] * table[1]
     lanes, batches = polyrat._euclid_lanes, []
     monkeypatch.setattr(polyrat, "_euclid_lanes",
                         lambda m, a, primes: batches.append(lanes(m, a, primes)) or batches[-1])
@@ -391,7 +407,7 @@ def test_invert_mod_lifts_past_2_18_bits():
     # the inverse 1 - b*z of 1 + b*z modulo z^2 has a 268400-bit coefficient
     # and the Hadamard bound of res twice that, so about 17900 lanes run and
     # the input itself is reduced by long divisions before the limbs
-    b = polyrat._PRIMES[0] ** 4400
+    b = (2 ** 61 - 1) ** 4400
     assert b.bit_length() > 1 << 18
     assert invert_mod(1 + b * Z, Z ** 2) == 1 - b * Z
 
@@ -401,7 +417,7 @@ def test_invert_mod_read_off_fails_then_doubles():
     # 268400-bit coefficient, far more than bits(res): the CRT must cover the
     # Hadamard bound of V, not of res alone.  Modulo z^3, V = 1 - b*z + b^2*z^2
     # has 18000 bits for a 9000-bit b, twice the bits of the input
-    b = polyrat._PRIMES[0] ** 4400
+    b = (2 ** 61 - 1) ** 4400
     assert invert_mod(7 + b * Z, Z ** 2) == (7 - b * Z) / 49
     b = 3 ** 5678
     assert invert_mod(1 + b * Z, Z ** 3) == 1 - b * Z + b * b * Z ** 2
@@ -412,11 +428,11 @@ def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeyp
     # inverse.  With the prime table patched so that such primes, taken from
     # deeper in the table, come first, those lanes are dropped at the start
     # or mid-Euclid, further lanes make up the bound, and every inverse is
-    # unchanged.  The word-size primes of the gcd certificate all divide
-    # res(z^2 - P, z) = -P and play no part
+    # unchanged.  The three primes near 2**61, 2**62 and 2**63 that P
+    # multiplies all divide res(z^2 - P, z) = -P and play no part
     table = polyrat._lane_primes(3000)
     q = table[100:106]
-    cases = [(Z, Z ** 2 - math.prod(polyrat._PRIMES)),
+    cases = [(Z, Z ** 2 - (2 ** 61 - 1) * (2 ** 62 - 57) * (2 ** 63 - 25)),
              (Z + 1, q[0] * q[1] * Z ** 2 - 3),  # q0, q1 divide lead(M)
              (Z, Z ** 2 - q[2] * q[3] * q[4]),  # q2, q3, q4 divide res
              (q[0] * Z + 1, Z ** 2 + 3)]  # q0 divides lead(A)
