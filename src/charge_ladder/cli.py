@@ -8,7 +8,8 @@ with rational strings in lowest terms.  Exit codes form a fixed table:
     1  negative outcome (bracket nonzero, integrals obstructed,
        not an equilibrium, system incompatible)
     2  usage error (malformed rationals, unsupported lambda, bad files,
-       non-finite charge systems, invalid tolerances)
+       an unwritable simulate --out, non-finite charge systems, invalid
+       tolerances)
     3  root-finder failure, including a polynomial float64 cannot hold, or
        float roots that coincide (equilibrium, simulate --p/--q), on a pair
        the exact layer accepted as squarefree and coprime
@@ -61,20 +62,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_constants(extras: list[str]) -> LadderState:
-    """Collect dynamic --tN / --tauN flags (N may be negative) into a state."""
+def _parse_constants(flags: list[tuple[str, str | None]]) -> LadderState:
+    """Collect the --tN / --tauN flags (N may be negative) and their values into a state."""
     t, tau = {}, {}
-    i = 0
-    while i < len(extras):
-        match = _CONST_FLAG.match(extras[i])
-        if not match:
-            raise UsageError(f"unrecognized argument: {extras[i]}")
-        if i + 1 >= len(extras):
-            raise UsageError(f"flag {extras[i]} needs a value")
-        value = _parse_fraction(extras[i + 1])
-        index = int(match.group(2))
-        (t if match.group(1) == "t" else tau)[index] = value
-        i += 2
+    for flag, text in flags:
+        if text is None:
+            raise UsageError(f"flag {flag} needs a value")
+        kind, index = _CONST_FLAG.match(flag).groups()
+        (t if kind == "t" else tau)[int(index)] = _parse_fraction(text)
     return LadderState(0, t, tau)
 
 
@@ -183,8 +178,11 @@ def cmd_simulate(args) -> int:
     except StepSizeUnderflow as exc:
         traj, code, status, extra = exc.trajectory, 5, "step-underflow", {"detail": str(exc)}
     # --out opens only here, once integrate has checked its arguments
-    to_file = args.out not in (None, "-")
-    with open(args.out, "w") if to_file else contextlib.nullcontext(sys.stdout) as out:
+    try:
+        out = contextlib.nullcontext(sys.stdout) if args.out in (None, "-") else open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write trajectory to {args.out}: {exc}") from exc
+    with out:
         for s in traj.samples:
             record = {
                 "t": s.t,
@@ -264,13 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    # a --tN/--tauN flag takes the token after it as its value wherever it
+    # sits, so argparse never reads that value as generate's index
+    rest, flags, tokens = [], [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if _CONST_FLAG.match(token):
+            flags.append((token, next(tokens, None)))
+        else:
+            rest.append(token)
+    args, extras = parser.parse_known_args(rest)
     try:
         # only generate takes flags beyond its parser: the --tN/--tauN constants
+        if extras or flags and args.command != "generate":
+            raise UsageError(f"unrecognized argument: {extras[0] if extras else flags[0][0]}")
         if args.command == "generate":
-            args.constants = _parse_constants(extras)
-        elif extras:
-            raise UsageError(f"unrecognized argument: {extras[0]}")
+            args.constants = _parse_constants(flags)
         return args.func(args)
     except (ConvergenceFailure, CollisionError) as exc:
         # CollisionError is a ValueError, but it comes from the float roots

@@ -6,9 +6,10 @@ lowest terms, so equality and degree are structural and nothing here ever
 rounds; ``coeffs`` presents the coefficients as reduced `Fraction`s.  Products
 run by Kronecker substitution, a remainder-only Euclid mod a 31-bit prime
 certifies squarefree and coprime pairs, and every other gcd, a modular
-inverse and the resultant deciding it come from one extended Euclid on many
-of the same sieved primes in numpy and a CRT.  On top of the ring operations
-the module provides the symbolic primitives everything else is built on:
+inverse and the resultant deciding it come from one lane loop: an extended
+Euclid in numpy modulo batches of the same sieved primes, read by a CRT from
+the lanes of the least gcd degree.  On top of the ring operations the module
+provides the symbolic primitives everything else is built on:
 
 * polynomial solutions of linear ODEs with polynomial coefficients by one
   top-down back-substitution (``polynomial_solution``): every ladder step,
@@ -497,12 +498,9 @@ def _divmod_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
 # ---------------------------------------------------------------------------
 # gcd machinery
 #
-# The common case here is certifying *coprimality* of large generated
-# polynomials, so gcd first tries a modular certificate: Euclid mod a lane
-# prime on remainders only, whose gcd of degree 0 proves gcd 1 over Q (von
-# zur Gathen & Gerhard, Modern Computer Algebra, 6.4).  Where that is
-# inconclusive, gcd_poly reads the gcd by the small-primes modular gcd (ibid.
-# 6.7; W. S. Brown, J. ACM 18, 1971) from the lanes and CRT below.
+# A gcd first tries a certificate: Euclid mod a lane prime on remainders only,
+# whose gcd of degree 0 proves gcd 1 over Q (von zur Gathen & Gerhard, Modern
+# Computer Algebra, 6.4).  Where that is inconclusive, the lanes below read it.
 # ---------------------------------------------------------------------------
 
 
@@ -533,8 +531,8 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     times the monic gcd mod its prime, of degree k at least the true one.
     Lanes of the least k seen, covering twice the Landau-Mignotte bound
     gamma*2**k*min(|A|_2, |B|_2) on that multiple of the gcd, are read by CRT;
-    a result dividing A and B exactly is the gcd.  A lane of degree 0 proves
-    gcd 1, and a failed division that every lane so far was unlucky.
+    a result dividing A and B exactly is the gcd.  Lanes of degree 0 prove
+    gcd 1; a failed division, that every lane so far was unlucky.
     """
     if a.is_zero and b.is_zero:
         raise UndefinedGcd("gcd(0, 0) is undefined")
@@ -550,34 +548,31 @@ def gcd_poly(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     f, g = sorted((a._num, b._num), key=len, reverse=True)
     gamma = math.gcd(f[-1], g[-1])
     bits = gamma.bit_length() + min(sum(c * c for c in v).bit_length() for v in (f, g)) // 2 + 2
-    found, top, used = [], len(g) - 1, 0  # the lanes of degree top, the least seen
+    k, used = len(g) - 1, 0
     while True:
-        while (count := (bits + top) // 30 + 1 - sum(len(q) for q, _ in found)) > 0:
-            primes = _lane_primes(used + count)[used:]
-            used += count
-            res = _residues(f + g, primes)
-            kept, shared, rows = _euclid_lanes(res[:len(f)].T, res[len(f):].T, primes)
-            if not shared:
-                return ExactPoly.one()
-            if (k := rows.shape[1] - 1) <= top:  # a lower degree replaces every lane found
-                unit = np.array([gamma * pow(x, -1, q) % q  # gamma/lead mod q
-                                 for x, q in zip(rows[:, -1].tolist(), kept.tolist())], np.int64)
-                found, top = (found if k == top else []) + [(kept, rows * unit[:, None] % kept[:, None])], k
-        w = _crt(*map(np.concatenate, zip(*found)))
+        k, kept, rows, used = _least_degree_lanes(f, g, bits, k, used)
+        if not k:
+            return ExactPoly.one()
+        unit = np.array([gamma * pow(x, -1, q) % q  # gamma/lead mod q
+                         for x, q in zip(rows[:, -1].tolist(), kept.tolist())], np.int64)
+        w = _crt(kept, rows * unit[:, None] % kept[:, None])
         h = ExactPoly._ints(w, w[-1])
         if not any(any(_divmod_int(v, h._num)[1]) for v in (f, g)):
             return h
-        found, top = [], top - 1
+        k -= 1  # every lane so far was unlucky: the gcd has a lower degree
 
 
-# -- modular inverse by many 31-bit lane primes -------------------------------
+# -- lanes: the modular gcd and the modular inverse by many 31-bit primes ------
 #
-# For the numerators M, A of modulus and a, U*M + V*A = res(M, A) with U, V
-# integral and V, like res, made of Sylvester minors below the Hadamard bound
-# H; a's inverse is a multiple of V/res, and res = 0 exactly when M and A share
-# a factor (von zur Gathen & Gerhard, Modern Computer Algebra, 6.3).  Both are
-# read by CRT (ibid. 10.3) from residues mod primes below 2**31 covering 2*H
-# (W. S. Brown, J. ACM 18, 1971), a lane per prime in int64 numpy rows.
+# A lane is one prime's copy of a fraction-free extended Euclid, int64 numpy
+# rows (_euclid_lanes).  _least_degree_lanes runs them in batches on unused
+# primes and keeps those whose gcd mod the prime has the least degree k seen,
+# at least the true one, until they cover 2**(bits + k), for a CRT (W. S.
+# Brown, J. ACM 18, 1971; ibid. 6.7 and 10.3).  gcd_poly passes the
+# Landau-Mignotte bits.  invert_mod passes the Hadamard bound H on res(M, A)
+# and on V with V*A = res (mod M), so a's inverse is a multiple of V/res
+# (ibid. 6.3): lanes of k = 0 give res and V, and lanes of the least degree
+# k >= 1 covering 2**(H + k) prove res = 0, a factor shared by M and A.
 
 _PRIME_CACHE: list[int] = []  # the primes below 2**31 found so far, descending
 
@@ -699,22 +694,21 @@ def _crt(primes: "np.ndarray", residues: "np.ndarray") -> list[int]:
     return [v - prod if v > prod >> 1 else v for v in (v % prod for v in x)]
 
 
-def _resultant_cofactor(m: Sequence[int], a: Sequence[int]) -> tuple[int, list[int]]:
-    """res(M, A) of integer vectors, not both constant, and V with
-    V*A = res (mod M), deg V < deg M (for deg A < deg M), or [] if res = 0:
-    lanes, each prime above 2**30, are added until those kept cover 2*H,
-    H = |M|**deg A * |A|**deg M; zero lanes alone covering it prove res = 0."""
-    hadamard = ((len(a) - 1) * sum(c * c for c in m).bit_length()
-                + (len(m) - 1) * sum(c * c for c in a).bit_length()) // 2 + 1
-    found, zeros, used = [], 0, 0
-    while (count := hadamard // 30 + 1 - (sum(len(q) for q, _ in found) if found else zeros)) > 0:
+def _least_degree_lanes(f: Sequence[int], g: Sequence[int], bits: int, cap: int, used: int = 0):
+    """The lanes of f and g whose gcd mod the prime has the least degree k
+    seen at or below cap (k = 0 where res(f, g) is nonzero), taken in batches
+    from the lane primes after the first `used` until they cover
+    2**(bits + k): k, their primes, their `_euclid_lanes` rows and the count
+    of primes used."""
+    found = []
+    while (count := (bits + cap) // 30 + 1 - sum(len(q) for q, _ in found)) > 0:
         primes = _lane_primes(used + count)[used:]
         used += count
-        res = _residues(list(m) + list(a), primes)
-        kept, shared, rows = _euclid_lanes(res[:len(m)].T, res[len(m):].T, primes)
-        zeros, found = (zeros + len(kept), found) if shared else (zeros, found + [(kept, rows)])
-    res, *v = _crt(*map(np.concatenate, zip(*found))) if found else (0,)
-    return res, v
+        res = _residues([*f, *g], primes)
+        kept, shared, rows = _euclid_lanes(res[:len(f)].T, res[len(f):].T, primes)
+        if (k := rows.shape[1] - 1 if shared else 0) <= cap:  # a lower degree replaces every lane found
+            found, cap = (found if k == cap else []) + [(kept, rows)], k
+    return cap, *map(np.concatenate, zip(*found)), used
 
 
 def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
@@ -728,9 +722,13 @@ def invert_mod(a: ExactPoly, modulus: ExactPoly) -> ExactPoly:
         return ExactPoly.constant(1 / a.lead)
     # modulus = M/dm and a = A/da, so a's inverse is da*V/res
     num, m = a._num, modulus._num
-    res, v = _resultant_cofactor(m, num)
-    if not res:
+    # bits of 2*H, H = |M|**deg A * |A|**deg M bounding res and V
+    hadamard = ((len(num) - 1) * sum(c * c for c in m).bit_length()
+                + (len(m) - 1) * sum(c * c for c in num).bit_length()) // 2 + 1
+    k, primes, rows, _ = _least_degree_lanes(m, num, hadamard, len(num) - 1)
+    if k:
         raise NotCoprime("no inverse: the resultant is zero")
+    res, *v = _crt(primes, rows)
     check = [-res] + [0] * (len(num) + len(v) - 2)  # A*V - res by rows: V is far wider than A
     for i, c in enumerate(num):
         check[i:i + len(v)] = [x + c * y for x, y in zip(check[i:i + len(v)], v)]

@@ -62,6 +62,17 @@ def test_generate_negative_branch_flags(capsys):
     assert ExactPoly.from_json(blob["p"]) == expect
 
 
+@pytest.mark.parametrize("argv", [["--t1", "-2", "1"], ["--tau1", "1/3", "2"]])
+def test_generate_flag_before_the_index_keeps_its_value(capsys, argv):
+    # the flag binds the token after it, so its value is never read as the
+    # index: the output is the one with the flag after the index
+    code, out, _ = run(capsys, "generate", "lambda2", *argv)
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["index"], blob["constants"]) == (int(argv[2]), {argv[0][2:]: argv[1]})
+    assert run(capsys, "generate", "lambda2", argv[2], *argv[:2]) == (0, out, "")
+
+
 def test_generated_polynomials_round_trip(capsys):
     code, out, _ = run(capsys, "generate", "lambda2", "2", "--t1", "1/3", "--tau2", "-2/7")
     blob = json.loads(out)
@@ -355,6 +366,19 @@ def test_simulate_step_underflow_exit_5(tmp_path, capsys):
     assert summary["steps_rejected"] > 0 and summary["t_final"] == info.value.time
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert [r["t"] for r in records] == [s.t for s in traj.samples]
+
+
+@pytest.mark.parametrize("target", ["missing/traj.jsonl", "."])
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys, target):
+    # a path that cannot be opened for writing, in a missing directory or a
+    # directory itself, is a usage error with an error line, not a traceback
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"positions": [[1, 0], [-1, 0]], "charges": [1, 1]}))
+    out_path = tmp_path / target
+    code, out, err = run(capsys, "simulate", "--init", str(init), "--t-end", "0.01",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write trajectory to {out_path}: ")
 
 
 # JSON input files by name: all but init.json of the wrong shape, with

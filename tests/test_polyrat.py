@@ -6,7 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from charge_ladder import polyrat
-from charge_ladder.generators import BracketParams, bracket, certify_rational_integrals
+from charge_ladder.generators import (
+    BracketParams,
+    adler_moser_wronskian,
+    bracket,
+    certify_rational_integrals,
+    lambda2_ladder,
+    psi_chain,
+)
 from charge_ladder.polyrat import (
     DivisionByZero,
     ExactPoly,
@@ -22,6 +29,7 @@ from charge_ladder.polyrat import (
     polynomial_solution,
     wronskian,
 )
+from charge_ladder.spectral import solve_p_given_q
 from conftest import euclid_gcd, leibniz_det, nonzero_rational, random_poly
 
 Z = ExactPoly.x()
@@ -423,6 +431,19 @@ def test_invert_mod_read_off_fails_then_doubles():
     assert invert_mod(1 + b * Z, Z ** 3) == 1 - b * Z + b * b * Z ** 2
 
 
+def resultant(m, a):
+    """res(M, A) of integer vectors, not both constant, and V with V*A = res
+    (mod M), or (0, []) when res = 0, read by the lane loop at the Hadamard
+    bound H = |M|**deg A * |A|**deg M as invert_mod reads them."""
+    hadamard = ((len(a) - 1) * sum(c * c for c in m).bit_length()
+                + (len(m) - 1) * sum(c * c for c in a).bit_length()) // 2 + 1
+    k, primes, rows, _ = polyrat._least_degree_lanes(m, a, hadamard, min(len(m), len(a)) - 1)
+    if k:
+        return 0, []
+    res, *v = polyrat._crt(primes, rows)
+    return res, v
+
+
 def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeypatch):
     # a lane whose prime divides lead(M), lead(A) or res(M, A) gives no
     # inverse.  With the prime table patched so that such primes, taken from
@@ -439,7 +460,7 @@ def test_invert_mod_decides_by_the_resultant_when_every_prime_is_unlucky(monkeyp
     expected = [invert_mod(a, m) for a, m in cases]
     assert expected[2] == Z / (q[2] * q[3] * q[4])
     unlucky = [{p for p in q for c in (m._num[-1], a._num[-1],
-                                       polyrat._resultant_cofactor(m._num, (a % m)._num)[0]) if c % p == 0}
+                                       resultant(m._num, (a % m)._num)[0]) if c % p == 0}
                for a, m in cases]
     assert unlucky[1:] == [{q[0], q[1]}, {q[2], q[3], q[4]}, {q[0]}]
     euclid, batches = polyrat._euclid_lanes, []
@@ -516,9 +537,43 @@ def test_resultant_matches_sylvester_determinant():
         elif kind == "odd":
             a, b = vec(1), vec(rng.choice((3, 5)))
         for x, y in ((a, b), (b, a)):
-            assert polyrat._resultant_cofactor(x, y)[0] == leibniz_det(sylvester(x, y))
+            assert resultant(x, y)[0] == leibniz_det(sylvester(x, y))
         if kind == "shared":
-            assert polyrat._resultant_cofactor(a, b) == (0, [])
+            assert resultant(a, b) == (0, [])
+
+
+# -- input guards ----------------------------------------------------------------
+
+
+# each call and its documented outcome: a value, or the exception it raises
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: gcd_poly(ExactPoly.zero(), 2 * Z ** 2 - 3), Z ** 2 - F(3, 2)),
+    (lambda: invert_mod(Z, ExactPoly.constant(3)), ValueError("modulus must have degree >= 1")),
+    (lambda: invert_mod(Z ** 2 - 1, Z - 1), NotCoprime("zero has no inverse")),
+    (lambda: hermite_reduce(Z, ExactPoly.zero()), DivisionByZero("denominator polynomial is zero")),
+    (lambda: integrate_rational(Z, ExactPoly.zero()), DivisionByZero("denominator polynomial is zero")),
+    (lambda: Z / 0, DivisionByZero("division of polynomial by zero scalar")),
+    (lambda: ExactPoly.zero().monic(),
+     DivisionByZero("the zero polynomial has no monic normalization")),
+    (lambda: Z ** -1, ValueError("polynomial powers must be non-negative integers")),
+    (lambda: ExactPoly.monomial(-1), ValueError("monomial degree must be >= 0")),
+    (lambda: psi_chain(-1), ValueError("chain length must be >= 0")),
+    (lambda: adler_moser_wronskian(-1), ValueError("Adler-Moser index must be >= 0")),
+    (lambda: solve_p_given_q(Z ** 3 + Z, F(1, 2), 1),  # lam*deg q = 3/2
+     ValueError("charge balance needs integral degree lam*deg(q), got 3/2")),
+    (lambda: lambda2_ladder(1, [1, 2]),
+     TypeError("constants must be a LadderState or a mapping of step -> rational")),
+], ids=["gcd-zero-operand", "invert-constant-modulus", "invert-zero", "hermite-zero-den",
+        "integrate-zero-den", "div-by-zero-scalar", "monic-zero", "negative-power",
+        "negative-monomial", "psi-chain-negative", "adler-moser-negative",
+        "solve-fractional-degree", "ladder-constants-list"])
+def test_exact_layer_input_guards(call, outcome):
+    if not isinstance(outcome, Exception):
+        assert call() == outcome
+        return
+    with pytest.raises(type(outcome)) as info:
+        call()
+    assert type(info.value) is type(outcome) and str(info.value) == str(outcome)
 
 
 # -- wronskians ----------------------------------------------------------------
